@@ -54,7 +54,6 @@ from repro.cluster import (
 from repro.federation import (
     AssurancePolicy,
     CloudAdminIdP,
-    EduGain,
     EntityCategory,
     InstitutionalIdP,
     LastResortIdP,
@@ -142,7 +141,7 @@ class IsambardDeployment:
     logs: Dict[str, AuditLog]
     audit: CombinedAuditView
     # federation
-    edugain: EduGain
+    edugain: ShardedMetadataStore
     idps: Dict[str, InstitutionalIdP]
     myaccessid: MyAccessID
     lastresort: LastResortIdP
@@ -459,19 +458,21 @@ def build_isambard(
     ``/scoreboard`` and ``/explain``.  Pass a
     :class:`~repro.telemetry.PipelineConfig` to size the budgets.
 
-    ``directory`` turns on the federation directory (PR 11): the
-    MyAccessID account registry and the eduGAIN metadata aggregate move
-    onto consistent-hash sharded, per-shard-journaled tiers
+    The MyAccessID account registry and the eduGAIN metadata aggregate
+    always run on the consistent-hash sharded tiers
     (:class:`~repro.federation.directory.ShardedAccountRegistry` /
-    :class:`~repro.federation.directory.ShardedMetadataStore`) sized for
-    1M+ users and 10k IdPs, with a batched
+    :class:`~repro.federation.directory.ShardedMetadataStore`); without
+    ``directory`` each is one unjournaled shard that emits no telemetry
+    and no audit events.  ``directory`` turns on the federation
+    directory: it sizes the tiers past one shard for 1M+ users and 10k
+    IdPs and adds a batched
     :class:`~repro.federation.directory.MetadataIngestor` consuming
-    signed registrar delta feeds and validity windows that fail stale-
-    metadata logins closed.  Shards rebalance with deterministic key
-    migration on ``add_shard``/``remove_shard``; chaos gains
-    ``faults.shard_down`` and ``faults.metadata_feed_stale``, and with
-    ``durability`` on each shard journals independently
-    (``dri.crash("dir-acct-03")`` et al.).  Pass a
+    signed registrar delta feeds (validity windows fail stale-metadata
+    logins closed), telemetry and audit on both tiers, per-shard
+    journals when ``durability`` is on (``dri.crash("dir-acct-03")`` et
+    al.) and the chaos hooks ``faults.shard_down`` and
+    ``faults.metadata_feed_stale``.  Shards rebalance with deterministic
+    key migration on ``add_shard``/``remove_shard``.  Pass a
     :class:`~repro.federation.directory.DirectoryConfig` to size the
     tiers.  The runtime handle is ``dri.directory``.
     """
@@ -552,21 +553,22 @@ def build_isambard(
     network.telemetry = tele
 
     # ------------------------------------------------------------- federation
+    # Without ``directory`` the two tiers run at one shard with no
+    # telemetry or audit, so a plain deployment emits no directory
+    # series or events.  Bilateral trust anchors registered here get no
+    # validity window; feed-ingested entries always do.
     directory_rt: Optional[FederationDirectory] = None
     if directory_cfg is not None:
-        # the sharded metadata store is EduGain-shaped, so everything
-        # downstream (MyAccessID validation, discovery, benchmarks)
-        # consumes it unchanged.  Bilateral trust anchors registered
-        # here get no validity window; feed-ingested entries always do.
-        edugain = ShardedMetadataStore(
-            clock, shards=directory_cfg.metadata_shards,
-            vnodes=directory_cfg.vnodes,
-            probe_cost=directory_cfg.probe_cost,
-            migration_batch=directory_cfg.migration_batch,
-            telemetry=tele, audit=logs["external"],
-        )
+        tier_cfg, tier_tele, tier_audit = directory_cfg, tele, logs["external"]
     else:
-        edugain = EduGain()
+        tier_cfg = DirectoryConfig(account_shards=1, metadata_shards=1)
+        tier_tele = tier_audit = None
+    edugain = ShardedMetadataStore(
+        clock, shards=tier_cfg.metadata_shards, vnodes=tier_cfg.vnodes,
+        probe_cost=tier_cfg.probe_cost,
+        migration_batch=tier_cfg.migration_batch,
+        telemetry=tier_tele, audit=tier_audit,
+    )
     idps: Dict[str, InstitutionalIdP] = {}
     for endpoint, host, federation, display, loa, categories in idp_specs:
         idp = InstitutionalIdP(
@@ -577,19 +579,15 @@ def build_isambard(
         network.attach(idp, OperatingDomain.EXTERNAL, Zone.INTERNET)
         idps[endpoint] = idp
 
-    dir_accounts: Optional[ShardedAccountRegistry] = None
-    if directory_cfg is not None:
-        dir_accounts = ShardedAccountRegistry(
-            clock, ids, shards=directory_cfg.account_shards,
-            vnodes=directory_cfg.vnodes,
-            probe_cost=directory_cfg.probe_cost,
-            migration_batch=directory_cfg.migration_batch,
-            telemetry=tele, audit=logs["external"],
-        )
+    accounts = ShardedAccountRegistry(
+        clock, ids, shards=tier_cfg.account_shards, vnodes=tier_cfg.vnodes,
+        probe_cost=tier_cfg.probe_cost,
+        migration_batch=tier_cfg.migration_batch,
+        telemetry=tier_tele, audit=tier_audit,
+    )
     myaccessid = MyAccessID(
-        "myaccessid", clock, ids, edugain,
+        "myaccessid", clock, ids, edugain, registry=accounts,
         policy=AssurancePolicy(), audit=logs["external"],
-        registry=dir_accounts,
     )
     network.attach(myaccessid, OperatingDomain.EXTERNAL, Zone.INTERNET)
 
@@ -597,7 +595,7 @@ def build_isambard(
         ingestor = MetadataIngestor(
             clock, edugain, audit=logs["external"], telemetry=tele)
         directory_rt = FederationDirectory(
-            config=directory_cfg, accounts=dir_accounts,
+            config=directory_cfg, accounts=accounts,
             metadata=edugain, ingestor=ingestor,
         )
 

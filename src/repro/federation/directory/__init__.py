@@ -1,24 +1,26 @@
 """Federation directory: the sharded identity + metadata tier.
 
-One MyAccessID account registry dict and one eduGAIN metadata dict are
-fine for a 45-user RSECon tutorial; a national federation is 1M+ users
-across 10k IdPs, and that working set has to be *partitioned*, *durable
-per partition*, and *refreshable in bulk*.  This package provides:
+MyAccessID's account registry and eduGAIN metadata aggregate have one
+implementation each, and it is sharded: a 45-user RSECon tutorial runs
+it at one shard, and a national federation — 1M+ users across 10k
+IdPs — at many, because that working set has to be *partitioned*,
+*durable per partition*, and *refreshable in bulk*.  This package
+provides:
 
 * :mod:`~repro.federation.directory.sharding` — the generic
   consistent-hash shard tier (:class:`ShardedTier`), its journal-durable
   shard base, deterministic key migration on shard add/remove, and the
-  :class:`ShardedAccountRegistry` (drop-in for
-  :class:`~repro.federation.myaccessid.AccountRegistry`);
+  :class:`ShardedAccountRegistry` (MyAccessID's account registry);
 * :mod:`~repro.federation.directory.metadata` — the
-  :class:`ShardedMetadataStore` (drop-in for
-  :class:`~repro.federation.edugain.EduGain`) with validity windows:
-  stale metadata fails logins closed;
+  :class:`ShardedMetadataStore` (the eduGAIN metadata aggregate) with
+  validity windows: stale metadata fails logins closed;
 * :mod:`~repro.federation.directory.ingest` — signed delta feeds from
   federation registrars and the batched :class:`MetadataIngestor`.
 
-``build_isambard(directory=True)`` wires all three into the deployment
-and exposes them as the :class:`FederationDirectory` runtime handle.
+Every ``build_isambard`` deployment builds the two tiers (one shard
+each by default); ``build_isambard(directory=True)`` sizes them, adds
+the ingestor and exposes all three as the :class:`FederationDirectory`
+runtime handle.
 """
 
 from __future__ import annotations

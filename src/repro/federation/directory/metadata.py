@@ -1,13 +1,13 @@
 """Sharded federation-metadata store with validity-window enforcement.
 
-The :class:`~repro.federation.edugain.EduGain` aggregate is a single
-dict with no notion of document freshness.  At national-federation scale
-metadata is a *feed* product: entries are published with validity
-windows, refreshed on a cadence, and a consumer cut off from its feed
-must eventually stop trusting what it cached.  This store keeps the
-EduGain surface (``register_idp`` / ``refresh_idp`` / ``get`` / ``has``
-/ ``idps`` / ``federations`` / ``__len__``) so it drops into
-:class:`~repro.federation.myaccessid.MyAccessID` unchanged, and adds:
+This is the eduGAIN metadata aggregate MyAccessID validates assertions
+and serves discovery from (one shard in a plain deployment).  At
+national-federation scale metadata is a *feed* product: entries are
+published with validity windows, refreshed on a cadence, and a consumer
+cut off from its feed must eventually stop trusting what it cached.
+Besides the aggregate's surface (``register_idp`` / ``refresh_idp`` /
+``get`` / ``has`` / ``idps`` / ``federations`` / ``__len__``) the store
+has:
 
 * ring-sharded, journal-durable entry storage
   (:class:`MetadataShard` on the shared :class:`ShardedTier` machinery);
@@ -103,7 +103,7 @@ class MetadataShard(DirectoryShard):
 
 
 class ShardedMetadataStore(ShardedTier):
-    """EduGain-compatible aggregate, sharded + validity-enforcing."""
+    """The eduGAIN metadata aggregate, sharded + validity-enforcing."""
 
     tier = "metadata"
 
@@ -119,7 +119,8 @@ class ShardedMetadataStore(ShardedTier):
         # reference, never in a journal; versioning means a replayed
         # stale row can never resolve a newer entry's key (or vice versa)
         self._verifiers: Dict[Tuple[str, int], object] = {}
-        # incremental sorted indices, same rationale as EduGain's
+        # incremental sorted indices: discovery lists idps() on every
+        # login, so it must not re-sort thousands of entries each time
         self._index: List[str] = []
         self._fed_counts: Dict[str, int] = {}
         self._fed_sorted: List[str] = []
@@ -219,7 +220,7 @@ class ShardedMetadataStore(ShardedTier):
             written += len(staged[name])
         return written
 
-    # --------------------------------------------- EduGain-compatible surface
+    # ------------------------------------------------ the aggregate surface
     def register_idp(self, idp, *, federation: str,
                      display_name: Optional[str] = None,
                      valid_for: Optional[float] = None) -> IdPMetadata:

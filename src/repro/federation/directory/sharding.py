@@ -29,7 +29,9 @@ on the existing :class:`~repro.scale.hashring.BoundedLoadRing`:
 Probe costs are modelled as *recorded* simulated latencies
 (``lookup_latencies``), not clock advances — a lookup is a read, and
 advancing the shared clock per read would perturb every token lifetime
-in the deployment.  Benches window the recorded samples instead.
+in the deployment.  Benches window the recorded samples instead.  A
+sample is always one or two probe costs, so a window is kept as two
+counts, whatever its length.
 """
 
 from __future__ import annotations
@@ -305,8 +307,10 @@ class ShardedTier:
         self.lookups = 0
         self.fallback_probes = 0
         self.unavailable_denials = 0
-        self.lookup_latencies: List[float] = []
         self.migrated_keys = 0
+        # the current latency window: lookups costing one probe / two
+        self._window_direct = 0
+        self._window_fallback = 0
 
     def _new_shard(self, name: str) -> DirectoryShard:
         raise NotImplementedError
@@ -319,22 +323,22 @@ class ShardedTier:
         caller asks the new ring owner, misses, and falls back to the
         source shard the pending map still names.
         """
-        cost = self.probe_cost
         owner = self.ring.locate(ring_key)
         fell_back = False
         mig = self._migration
         if mig is not None:
             src = mig.pending.get(ring_key)
             if src is not None and src != owner:
-                cost += self.probe_cost
                 owner = src
                 fell_back = True
         shard = self.shards[owner]
         if record:
             self.lookups += 1
-            self.lookup_latencies.append(cost)
             if fell_back:
                 self.fallback_probes += 1
+                self._window_fallback += 1
+            else:
+                self._window_direct += 1
             if self.telemetry is not None:
                 self.telemetry.directory_lookups.inc(
                     tier=self.tier,
@@ -433,9 +437,16 @@ class ShardedTier:
             self.telemetry.directory_migrated.inc(n, tier=self.tier)
 
     # ---------------------------------------------------------------- stats
+    @property
+    def lookup_latencies(self) -> List[float]:
+        """The current window's recorded lookup latencies, ascending."""
+        return ([self.probe_cost] * self._window_direct
+                + [2 * self.probe_cost] * self._window_fallback)
+
     def reset_lookup_stats(self) -> None:
         """Start a fresh latency window (benches bracket phases with this)."""
-        self.lookup_latencies = []
+        self._window_direct = 0
+        self._window_fallback = 0
 
     def note_sizes(self) -> Dict[str, int]:
         sizes = {name: self.shards[name].key_count()
@@ -459,9 +470,12 @@ class ShardedTier:
 class ShardedAccountRegistry(ShardedTier):
     """The MyAccessID account registry, partitioned across journaled shards.
 
-    Drop-in for :class:`~repro.federation.myaccessid.AccountRegistry`
-    (same surface: ``register_or_get`` / ``link`` / ``find`` /
-    ``deprovision`` / ``account`` / ``__len__``), plus
+    Guarantees uniqueness and persistence of user identifiers: the same
+    external identity always resolves to the same account, an account
+    may have several linked identities, no two accounts ever share a
+    uid, and a deprovisioned uid is retired, never reassigned.  The
+    surface is ``register_or_get`` / ``link`` / ``find`` /
+    ``deprovision`` / ``account`` / ``__len__``, plus
     :meth:`register_batch` for bulk onboarding (one journal entry per
     touched shard per wave, not one per user) and
     :meth:`verify_invariants` for the cross-shard guarantees.

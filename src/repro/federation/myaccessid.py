@@ -8,7 +8,9 @@ Isambard.  Its three jobs, per §II.B of the paper, are implemented here:
    from the (policy-filtered) eduGAIN aggregate.
 2. **Account registry** — maps external identities to a *unique,
    persistent* user identifier towards connected ISDs, and supports
-   linking several institutional identities to one account.
+   linking several institutional identities to one account (the
+   registry is :class:`~repro.federation.directory.ShardedAccountRegistry`,
+   passed in by the deployment builder).
 3. **Assurance enforcement** — only IdPs meeting the R&S + LoA policy are
    accepted (the control eduGAIN itself lacks).
 
@@ -19,20 +21,25 @@ is just one of its registered clients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.audit import AuditLog, Outcome
 from repro.clock import SimClock
 from repro.crypto import JwkSet, JwtValidator
-from repro.errors import AuthenticationError, FederationError, IdentityNotRegistered
+from repro.errors import AuthenticationError
 from repro.federation.assurance import AssurancePolicy, LevelOfAssurance
-from repro.federation.edugain import EduGain
 from repro.ids import IdFactory
 from repro.net.http import HttpRequest, HttpResponse, route
 from repro.oidc.provider import OidcProvider
 
-__all__ = ["LinkedIdentity", "Account", "AccountRegistry", "MyAccessID"]
+if TYPE_CHECKING:  # the directory tier imports Account from here
+    from repro.federation.directory import (
+        ShardedAccountRegistry,
+        ShardedMetadataStore,
+    )
+
+__all__ = ["LinkedIdentity", "Account", "MyAccessID"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,11 @@ class LinkedIdentity:
 
 @dataclass
 class Account:
-    """A MyAccessID account: the persistent identity ISDs see."""
+    """A MyAccessID account: the persistent identity ISDs see.
+
+    The registry stores rows and materialises a fresh ``Account`` on
+    every lookup; mutating one does not change the registry.
+    """
 
     uid: str  # unique persistent identifier, e.g. "ma-0001@myaccessid"
     linked: List[LinkedIdentity]
@@ -53,87 +64,6 @@ class Account:
     email: str
     created_at: float
     loa: LevelOfAssurance
-
-
-class AccountRegistry:
-    """Guarantees uniqueness and persistence of user identifiers.
-
-    The same external identity always resolves to the same account; an
-    account may have several linked identities (identity linking); no two
-    accounts ever share a uid.
-    """
-
-    def __init__(self, ids: IdFactory, *, uid_suffix: str = "@myaccessid") -> None:
-        self.ids = ids
-        self.uid_suffix = uid_suffix
-        self._by_identity: Dict[LinkedIdentity, str] = {}
-        self._accounts: Dict[str, Account] = {}
-
-    def register_or_get(
-        self,
-        identity: LinkedIdentity,
-        *,
-        display_name: str,
-        email: str,
-        loa: LevelOfAssurance,
-        now: float,
-    ) -> Account:
-        """Idempotently resolve an external identity to its account."""
-        uid = self._by_identity.get(identity)
-        if uid is not None:
-            return self._accounts[uid]
-        uid = self.ids.next("ma") + self.uid_suffix
-        account = Account(
-            uid=uid,
-            linked=[identity],
-            display_name=display_name,
-            email=email,
-            created_at=now,
-            loa=loa,
-        )
-        self._by_identity[identity] = uid
-        self._accounts[uid] = account
-        return account
-
-    def link(self, uid: str, identity: LinkedIdentity) -> Account:
-        """Attach a second external identity to an existing account."""
-        account = self._accounts.get(uid)
-        if account is None:
-            raise IdentityNotRegistered(f"no account {uid!r}")
-        existing = self._by_identity.get(identity)
-        if existing is not None and existing != uid:
-            raise FederationError(
-                f"identity {identity} is already linked to a different account"
-            )
-        if existing is None:
-            self._by_identity[identity] = uid
-            account.linked.append(identity)
-        return account
-
-    def find(self, identity: LinkedIdentity) -> Optional[Account]:
-        uid = self._by_identity.get(identity)
-        return self._accounts.get(uid) if uid else None
-
-    def deprovision(self, uid: str) -> int:
-        """Remove an account and all its identity links (data-protection
-        erasure).  Returns the number of links removed.  The uid is
-        *retired*, never reassigned — `register_or_get` for any of the
-        old identities creates a fresh account with a new uid, so audit
-        history stays unambiguous."""
-        account = self._accounts.pop(uid, None)
-        if account is None:
-            raise IdentityNotRegistered(f"no account {uid!r}")
-        removed = 0
-        for identity in account.linked:
-            if self._by_identity.pop(identity, None) is not None:
-                removed += 1
-        return removed
-
-    def account(self, uid: str) -> Optional[Account]:
-        return self._accounts.get(uid)
-
-    def __len__(self) -> int:
-        return len(self._accounts)
 
 
 class MyAccessID(OidcProvider):
@@ -157,20 +87,17 @@ class MyAccessID(OidcProvider):
         name: str,
         clock: SimClock,
         ids: IdFactory,
-        edugain: EduGain,
+        edugain: ShardedMetadataStore,
         *,
+        registry: ShardedAccountRegistry,
         policy: Optional[AssurancePolicy] = None,
         audit: Optional[AuditLog] = None,
         session_ttl: float = 8 * 3600.0,
-        registry: Optional[AccountRegistry] = None,
     ) -> None:
         super().__init__(name, clock, ids, audit=audit, session_ttl=session_ttl)
         self.edugain = edugain
         self.policy = policy if policy is not None else AssurancePolicy()
-        # any object with the AccountRegistry surface works here — the
-        # directory tier passes a ShardedAccountRegistry so the proxy's
-        # account resolution rides the hash ring instead of one dict
-        self.registry = registry if registry is not None else AccountRegistry(ids)
+        self.registry = registry
         self.entity_id = f"https://{name}"
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ national-federation ablation (ABL14):
 """
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -43,7 +44,6 @@ from repro.federation.directory import (
     ShardedAccountRegistry,
     ShardedMetadataStore,
 )
-from repro.federation.edugain import EduGain
 from repro.federation.idp import InstitutionalIdP
 from repro.federation.myaccessid import LinkedIdentity
 from repro.ids import IdFactory
@@ -360,9 +360,9 @@ def test_stale_version_upsert_is_ignored():
 
 
 def test_edugain_incremental_indices_and_refresh():
-    # satellite: the plain EduGain aggregate gained the same surface
+    # the plain deployment's aggregate: the same store at one shard
     clock, ids = SimClock(), IdFactory(seed=3)
-    eg = EduGain()
+    eg = ShardedMetadataStore(clock, shards=1)
     idps = []
     for i in (3, 1, 2):
         idp = InstitutionalIdP(f"idp-{i}", f"https://idp-{i}.example",
@@ -512,6 +512,60 @@ def test_build_isambard_directory_login_path():
     report = dri.restart(f"dir-{sname}")
     assert d.accounts.shards[sname].state_hash() == h
     assert report is not None
+
+
+def test_default_deployment_runs_the_tiers_at_one_shard_unobserved():
+    dri = build_isambard(seed=41)
+    assert dri.directory is None
+    reg = dri.myaccessid.registry
+    assert dri.myaccessid.edugain is dri.edugain
+    assert isinstance(dri.edugain, ShardedMetadataStore)
+    assert isinstance(reg, ShardedAccountRegistry)
+    assert len(dri.edugain.shards) == len(reg.shards) == 1
+    assert len(dri.edugain) == 4  # DEFAULT_IDPS
+
+    assert dri.workflows.story1_pi_onboarding("pi").ok
+    uid = dri.workflows.personas["pi"].broker_sub
+    assert reg.account(uid) is not None and reg.lookups > 0
+    assert dri.myaccessid.deprovision_account(uid) == 1
+    reg.verify_invariants()
+    # neither audit events nor metric series from the tiers
+    assert not [e for e in dri.audit.events()
+                if e.source == "directory" or e.action.startswith("directory.")]
+    assert not [line for line in dri.telemetry.exposition().splitlines()
+                if line.startswith("repro_directory_")]
+
+
+def _retained_bytes(tier) -> int:
+    """Shallow size of every attribute: a per-lookup list or dict shows
+    up here as growth."""
+    return sum(sys.getsizeof(v) for v in vars(tier).values())
+
+
+def test_tier_lookup_stats_stay_flat_over_onboarding_soak():
+    dri = build_isambard(seed=43)
+    wf = dri.workflows
+    project = str(wf.story1_pi_onboarding("pi", gpu_hours=1e9)
+                  .data["project_id"])
+    tiers = (dri.myaccessid.registry, dri.edugain)
+
+    def onboard(i: int) -> None:
+        name = f"soak{i:03d}"
+        wf.create_researcher(name, idp="idp-bristol")
+        assert wf.story3_researcher_setup(project, "pi", name).ok
+
+    for i in range(20):
+        onboard(i)
+    before = [_retained_bytes(t) for t in tiers]
+    lookups = [t.lookups for t in tiers]
+    for i in range(20, 300):
+        onboard(i)
+    assert [_retained_bytes(t) for t in tiers] == before
+    for tier, n in zip(tiers, lookups):
+        assert tier.lookups > n
+        # the window still reproduces every sample since construction
+        assert len(tier.lookup_latencies) == tier.lookups
+        assert set(tier.lookup_latencies) == {tier.probe_cost}
 
 
 def test_deployment_stale_metadata_login_fails_closed_with_403():
