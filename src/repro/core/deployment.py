@@ -163,6 +163,11 @@ class IsambardDeployment:
     mgmt_node: ManagementNode
     slurm: SlurmScheduler
     filesystem: ParallelFilesystem
+    # MDC — Isambard 3 (Grace-Grace CPU cluster)
+    pool_i3: NodePool
+    login_sshd_i3: LoginNodeSshd
+    mgmt_node_i3: ManagementNode
+    slurm_i3: SlurmScheduler
     # SEC
     soc: SecurityOperationsCentre
     killswitch: KillSwitchController
@@ -170,11 +175,6 @@ class IsambardDeployment:
     # cross-cutting
     policy_engine: PolicyEngine
     workflows: "object" = None  # set post-construction (core.workflows)
-    # MDC — Isambard 3 (Grace-Grace CPU cluster); None unless built
-    pool_i3: Optional[NodePool] = None
-    login_sshd_i3: Optional[LoginNodeSshd] = None
-    mgmt_node_i3: Optional[ManagementNode] = None
-    slurm_i3: Optional[SlurmScheduler] = None
     # environmental telemetry (created idle; call .start() to arm sampling)
     dcim: Optional["object"] = None
     # SPIRE-style workload identity authority for the trust domain
@@ -193,8 +193,6 @@ class IsambardDeployment:
     telemetry: Optional[Telemetry] = None
     # bounded-retention telemetry pipeline; None when pipeline off
     pipeline_config: Optional[PipelineConfig] = None
-    # component name -> (crash_fn, restart_fn); populated by the builder
-    crash_targets: Dict[str, tuple] = field(default_factory=dict)
     # validator factory honouring failover re-pointing (set by the builder)
     validator_factory: Optional[object] = None
     # horizontal scale-out (repro.scale); all None/empty unless scale on
@@ -231,10 +229,10 @@ class IsambardDeployment:
         """Kill a component in place: its endpoint goes down and its
         in-memory state is wiped — exactly what a pod OOM-kill does.
         Targets: ``broker``, ``portal``, ``ssh-ca``, ``idp-lastresort``,
-        ``audit-<domain>`` log stores and ``fw-*`` forwarders."""
-        if name not in self.crash_targets:
-            raise ConfigurationError(f"no crash hooks registered for {name!r}")
-        self.crash_targets[name][0]()
+        ``audit-<domain>`` log stores, ``fw-*`` forwarders, plus the
+        ``authz`` pipeline (authz with durability) and the ``dir-*``
+        shards (directory) when those tiers are on."""
+        self.faults.hooks("crash", name)[0]()
 
     def restart(self, name: str):
         """Restart a crashed component.  With durability on it replays
@@ -250,9 +248,12 @@ class IsambardDeployment:
                 pair = self.failover.pairs.get(pair_name)
                 if pair is not None and pair.promoted:
                     return self.failover.rejoin(pair_name, pair.primary)
-        if name not in self.crash_targets:
-            raise ConfigurationError(f"no crash hooks registered for {name!r}")
-        return self.crash_targets[name][1]()
+        report = self.faults.hooks("crash", name)[1]()
+        # the service is back: a crash fault left open on it ends here
+        for fault in self.faults.active_faults():
+            if fault.kind == "crash" and fault.endpoint == name:
+                fault.clear()
+        return report
 
     def refresh_tunnels(self) -> None:
         """Heartbeat the Zenith tunnel registrations (the deployment's
@@ -329,7 +330,6 @@ def build_isambard(
     ssh_cert_ttl: float = 4 * 3600.0,
     bastion_vms: int = 2,
     ai_nodes: int = 168,
-    with_isambard3: bool = True,
     hpc_nodes: int = 368,
     forward_interval: float = 5.0,
     auto_contain: bool = True,
@@ -606,11 +606,13 @@ def build_isambard(
                 return directory_rt.metadata
             raise ConfigurationError(f"no directory tier {tier!r}")
 
-        faults.register_shard_hooks(
+        faults.register_hooks(
+            "shard_down",
             lambda tier, shard: _dir_tier(tier).shard_down(shard),
             lambda tier, shard: _dir_tier(tier).shard_up(shard),
         )
-        faults.register_feed_hooks(
+        faults.register_hooks(
+            "metadata_feed_stale",
             lambda feed: directory_rt.ingestor.set_feed_down(feed, True),
             lambda feed: directory_rt.ingestor.set_feed_down(feed, False),
         )
@@ -844,29 +846,27 @@ def build_isambard(
     # --- Isambard 3: the Grace-Grace national tier-2 HPC platform --------
     # Same IAM fabric (one CA, one broker, one portal) protecting a second
     # cluster in the same MDC compound — exactly the paper's deployment.
-    pool_i3 = login_sshd_i3 = mgmt_node_i3 = slurm_i3 = None
-    if with_isambard3:
-        pool_i3 = NodePool("gg", "grace-grace", hpc_nodes, gpus_per_node=0)
-        login_sshd_i3 = LoginNodeSshd(
-            "login-node-i3", clock, ssh_ca.ca_public_key(), account_exists,
-            audit=logs["mdc"],
-        )
-        login_sshd_i3.install_host_certificate(
-            ssh_ca.provision_host_certificate(
-                "login-node-i3", login_sshd_i3.host_keypair.public_jwk()))
-        if scale_cfg is not None:
-            login_sshd_i3.cert_cache = cert_cache
-        network.attach(login_sshd_i3, OperatingDomain.MDC, Zone.HPC)
-        mgmt_node_i3 = ManagementNode(
-            "mgmt-node-i3", clock, validator_for("mgmt-node-i3"), pool_i3,
-            audit=logs["mdc"], policy=policy_engine,
-        )
-        network.attach(mgmt_node_i3, OperatingDomain.MDC, Zone.MANAGEMENT)
-        tailnet.expose_endpoint("mgmt-node-i3", "mgmt")
-        slurm_i3 = SlurmScheduler(
-            clock, ids, pool_i3, portal.record_usage, audit=logs["mdc"],
-            charge_units_per_node=1,  # node-hours on the CPU machine
-        )
+    pool_i3 = NodePool("gg", "grace-grace", hpc_nodes, gpus_per_node=0)
+    login_sshd_i3 = LoginNodeSshd(
+        "login-node-i3", clock, ssh_ca.ca_public_key(), account_exists,
+        audit=logs["mdc"],
+    )
+    login_sshd_i3.install_host_certificate(
+        ssh_ca.provision_host_certificate(
+            "login-node-i3", login_sshd_i3.host_keypair.public_jwk()))
+    if scale_cfg is not None:
+        login_sshd_i3.cert_cache = cert_cache
+    network.attach(login_sshd_i3, OperatingDomain.MDC, Zone.HPC)
+    mgmt_node_i3 = ManagementNode(
+        "mgmt-node-i3", clock, validator_for("mgmt-node-i3"), pool_i3,
+        audit=logs["mdc"], policy=policy_engine,
+    )
+    network.attach(mgmt_node_i3, OperatingDomain.MDC, Zone.MANAGEMENT)
+    tailnet.expose_endpoint("mgmt-node-i3", "mgmt")
+    slurm_i3 = SlurmScheduler(
+        clock, ids, pool_i3, portal.record_usage, audit=logs["mdc"],
+        charge_units_per_node=1,  # node-hours on the CPU machine
+    )
 
     # environmental telemetry for the AI pod (idle until .start())
     from repro.cluster.dcim import DcimMonitor
@@ -947,10 +947,9 @@ def build_isambard(
     killswitch.register_user_action("ssh-sessions", login_sshd.close_sessions_for)
     killswitch.register_user_action("jupyter-sessions", jupyter.close_sessions_for)
     killswitch.register_user_action("slurm-jobs", slurm.cancel_account)
-    if with_isambard3:
-        killswitch.register_user_action(
-            "ssh-sessions-i3", login_sshd_i3.close_sessions_for)
-        killswitch.register_user_action("slurm-jobs-i3", slurm_i3.cancel_account)
+    killswitch.register_user_action(
+        "ssh-sessions-i3", login_sshd_i3.close_sessions_for)
+    killswitch.register_user_action("slurm-jobs-i3", slurm_i3.cancel_account)
     killswitch.register_stop_action(
         "bastion", bastion.kill_service, bastion.restore_service
     )
@@ -1094,9 +1093,8 @@ def build_isambard(
         if account:
             login_sshd.close_sessions_for(account)
             slurm.cancel_account(account, by="portal-revocation")
-            if with_isambard3:
-                login_sshd_i3.close_sessions_for(account)
-                slurm_i3.cancel_account(account, by="portal-revocation")
+            login_sshd_i3.close_sessions_for(account)
+            slurm_i3.cancel_account(account, by="portal-revocation")
         jupyter.close_sessions_for(uid)
 
     # --- crash-fault tolerance: WAL journals, vault, warm standbys -------
@@ -1134,8 +1132,7 @@ def build_isambard(
             return active_ca[0].cert_registered(serial, key_id)
 
         login_sshd.cert_registry = _cert_registered
-        if with_isambard3:
-            login_sshd_i3.cert_registry = _cert_registered
+        login_sshd_i3.cert_registry = _cert_registered
     if failover:
         # warm standbys carry the same *service* name (they become that
         # service on promotion) parked under their own endpoint names;
@@ -1281,8 +1278,7 @@ def build_isambard(
             n = active_ca[0].revoke_certificates_for(intent.uid)
             for acct in _authz_accounts(intent.uid):
                 n += login_sshd.close_sessions_for(acct)
-                if with_isambard3:
-                    n += login_sshd_i3.close_sessions_for(acct)
+                n += login_sshd_i3.close_sessions_for(acct)
             return n
 
         def _teardown_tunnels(intent) -> int:
@@ -1293,9 +1289,7 @@ def build_isambard(
             n = jupyter.close_sessions_for(intent.uid)
             for acct in _authz_accounts(intent.uid):
                 n += slurm.cancel_account(acct, by="revocation-pipeline")
-                if with_isambard3:
-                    n += slurm_i3.cancel_account(
-                        acct, by="revocation-pipeline")
+                n += slurm_i3.cancel_account(acct, by="revocation-pipeline")
             return n
 
         pipeline.register_point("tokens", _teardown_tokens)
@@ -1316,11 +1310,10 @@ def build_isambard(
         jupyter.authz_guard = guard
         slurm.session_registry = session_registry
         slurm.authz_guard = guard
-        if with_isambard3:
-            login_sshd_i3.session_registry = session_registry
-            login_sshd_i3.authz_guard = guard
-            slurm_i3.session_registry = session_registry
-            slurm_i3.authz_guard = guard
+        login_sshd_i3.session_registry = session_registry
+        login_sshd_i3.authz_guard = guard
+        slurm_i3.session_registry = session_registry
+        slurm_i3.authz_guard = guard
         if broker_standby is not None:
             broker_standby.tokens.session_registry = session_registry
             broker_standby.tokens.authz_guard = guard
@@ -1342,7 +1335,7 @@ def build_isambard(
 
         if login_sshd.cert_registry is None:
             login_sshd.cert_registry = _authz_cert_registered
-        if with_isambard3 and login_sshd_i3.cert_registry is None:
+        if login_sshd_i3.cert_registry is None:
             login_sshd_i3.cert_registry = _authz_cert_registered
 
         # kill switch delegates to the pipeline; SOC alerts feed the
@@ -1358,9 +1351,9 @@ def build_isambard(
             pipeline.drive_pending()
             authorizer.reevaluate_all()
 
-        faults.register_pdp_hooks(pdp.down, _pdp_restore)
-        faults.register_teardown_hooks(pipeline.stick, pipeline.unstick)
-        faults.register_storm_hook(pipeline.inject_storm)
+        faults.register_hooks("pdp_down", pdp.down, _pdp_restore)
+        faults.register_hooks("teardown_stuck", pipeline.stick, pipeline.unstick)
+        faults.register_hooks("revocation_storm", pipeline.inject_storm)
 
         if store is not None:
             # the outbox is the durable piece: journal it so a crash
@@ -1373,124 +1366,78 @@ def build_isambard(
         )
 
     # --- crash/restart hooks (chaos `crash` faults + dri.crash/restart) --
-    crash_targets: Dict[str, tuple] = {}
-
-    def _service_target(ep_name: str):
+    def _crash_target(name: str, get, set_up, fleet=lambda up: None) -> None:
+        # crash: take the target down and wipe it (then the fleet it
+        # fronts); restart: replay its journal when it has one, bring it
+        # back up (then the fleet)
         def crash_fn() -> None:
-            ep = network.endpoint(ep_name)
-            ep.up = False
-            ep.service.wipe_state()
+            set_up(False)
+            get().wipe_state()
+            fleet(False)
 
         def restart_fn():
-            ep = network.endpoint(ep_name)
-            report = None
-            if getattr(ep.service, "journal", None) is not None:
-                report = ep.service.recover()
-            ep.up = True
+            target = get()
+            report = (target.recover()
+                      if getattr(target, "journal", None) is not None
+                      else None)
+            set_up(True)
+            fleet(True)
             return report
 
-        return crash_fn, restart_fn
+        faults.register_hooks("crash", crash_fn, restart_fn, target=name)
 
-    for ep_name in ("portal", "ssh-ca", "idp-lastresort"):
-        crash_targets[ep_name] = _service_target(ep_name)
-    if region_cfg is not None:
+    # the broker is its origin endpoint plus, when scaled out, the fleet
+    # in front of it
+    broker_ep, broker_fleet = "broker", lambda up: None
+    if region_dir is not None:
         # region mode: "crashing the broker" kills the shared state
         # backend and takes every region down with it (total outage);
         # the geo-router keeps answering so callers see unavailability.
         # For single-region loss use faults.region_down() instead.
-        origin_crash_r, origin_restart_r = _service_target("broker-origin")
-
-        def _crash_broker_regions() -> None:
-            origin_crash_r()
+        def _broker_regions(up: bool) -> None:
             for region in region_dir.regions():
-                region_dir.region_down(region.name)
+                if up:
+                    region_dir.region_up(region.name)
+                else:
+                    region_dir.region_down(region.name)
 
-        def _restart_broker_regions():
-            report = origin_restart_r()
-            for region in region_dir.regions():
-                region_dir.region_up(region.name)
-            return report
-
-        crash_targets["broker"] = (
-            _crash_broker_regions, _restart_broker_regions)
-    elif broker_pool is None:
-        crash_targets["broker"] = _service_target("broker")
-    else:
+        broker_ep, broker_fleet = "broker-origin", _broker_regions
+    elif broker_pool is not None:
         # in scale mode "crashing the broker" kills the shared state
         # backend and takes the whole pod fleet down with it; the LB
         # keeps answering (and exhausting) so callers see unavailability,
         # not a vanished endpoint
-        origin_crash, origin_restart = _service_target("broker-origin")
-
-        def _crash_broker_pool() -> None:
-            origin_crash()
+        def _broker_pods(up: bool) -> None:
             for replica in broker_pool.replicas():
-                network.endpoint(replica).up = False
+                network.endpoint(replica).up = up
 
-        def _restart_broker_pool():
-            report = origin_restart()
-            for replica in broker_pool.replicas():
-                network.endpoint(replica).up = True
-            return report
-
-        crash_targets["broker"] = (_crash_broker_pool, _restart_broker_pool)
-
-    def _log_target(log: AuditLog):
-        def crash_fn() -> None:
-            log.down = True     # emitters now fire into the void (counted)
-            log.wipe_state()
-
-        def restart_fn():
-            report = log.recover() if log.journal is not None else None
-            log.down = False
-            return report
-
-        return crash_fn, restart_fn
-
+        broker_ep, broker_fleet = "broker-origin", _broker_pods
+    for name, ep_name, *fleet in (("portal", "portal"), ("ssh-ca", "ssh-ca"),
+                                  ("idp-lastresort", "idp-lastresort"),
+                                  ("broker", broker_ep, broker_fleet)):
+        # resolved per call: a promoted standby takes over the endpoint
+        _crash_target(
+            name, lambda ep_name=ep_name: network.endpoint(ep_name).service,
+            lambda up, ep_name=ep_name: setattr(
+                network.endpoint(ep_name), "up", up),
+            *fleet)
     for domain, log in logs.items():
-        crash_targets[f"audit-{domain}"] = _log_target(log)
-
-    def _fw_target(fw: LogForwarder):
-        def crash_fn() -> None:
-            fw.stop()
-            fw.wipe_state()
-
-        def restart_fn():
-            report = fw.recover() if fw.journal is not None else None
-            fw.start()
-            return report
-
-        return crash_fn, restart_fn
-
+        # a downed log's emitters fire into the void (counted)
+        _crash_target(f"audit-{domain}", lambda log=log: log,
+                      lambda up, log=log: setattr(log, "down", not up))
     for fw in forwarders:
-        crash_targets[fw.name] = _fw_target(fw)
+        _crash_target(fw.name, lambda fw=fw: fw,
+                      lambda up, fw=fw: fw.start() if up else fw.stop())
     if authz_rt is not None and store is not None:
         # crash mid-revocation: the outbox journal replays the intents
         # and verify_recovery re-drives everything still pending
-        crash_targets["authz"] = (
-            authz_rt.pipeline.wipe_state,
-            lambda: authz_rt.pipeline.recover(),
-        )
+        _crash_target("authz", lambda: authz_rt.pipeline, lambda up: None)
     if directory_rt is not None:
-
-        def _shard_target(shard):
-            def crash_fn() -> None:
-                shard.up = False
-                shard.wipe_state()
-
-            def restart_fn():
-                report = shard.recover() if shard.journal is not None else None
-                shard.up = True
-                return report
-
-            return crash_fn, restart_fn
-
         for tier_obj in (directory_rt.accounts, directory_rt.metadata):
             for sname in sorted(tier_obj.shards):
-                crash_targets[f"dir-{sname}"] = _shard_target(
-                    tier_obj.shards[sname])
-    for target, (crash_fn, restart_fn) in crash_targets.items():
-        faults.register_crash_hooks(target, crash_fn, restart_fn)
+                shard = tier_obj.shards[sname]
+                _crash_target(f"dir-{sname}", lambda shard=shard: shard,
+                              lambda up, shard=shard: setattr(shard, "up", up))
 
     dri = IsambardDeployment(
         clock=clock, ids=ids, network=network, logs=logs, audit=audit,
@@ -1507,7 +1454,7 @@ def build_isambard(
         mgmt_node_i3=mgmt_node_i3, slurm_i3=slurm_i3,
         dcim=dcim, spire=spire,
         faults=faults, resilience=runtime, overload=overload_cfg,
-        durability=store, crash_targets=crash_targets,
+        durability=store,
         validator_factory=validator_for, telemetry=tele,
         pipeline_config=pipeline_cfg,
         scale=scale_cfg, broker_pool=broker_pool, broker_lb=broker_lb,

@@ -242,10 +242,11 @@ class RegionDirectory:
     def register_fault_hooks(self, faults) -> None:
         """Teach the chaos harness the region-scale fault kinds."""
         for name in self.names():
-            faults.register_region_hooks(
-                name,
+            faults.register_hooks(
+                "region_down",
                 lambda n=name: self.region_down(n),
                 lambda n=name: self.region_up(n),
+                target=name,
             )
             # gray-region support: gray_region() fans a slow_replica
             # fault over whatever the region's fleet is at that moment
@@ -253,7 +254,7 @@ class RegionDirectory:
                 name,
                 lambda n=name: list(self.region(n).pool.replicas()),
             )
-        faults.register_region_link_hooks(self.sever, self.heal)
+        faults.register_hooks("region_partition", self.sever, self.heal)
 
     # ------------------------------------------------------------------
     def _gauge_state(self, region: Region) -> None:

@@ -43,6 +43,10 @@ Supported fault kinds (per endpoint, or per (domain, zone) flow):
   publishing; cached entries serve until their validity window lapses,
   then logins through them fail closed.
 
+The kinds from **crash** on are hook-driven: the tier that owns the state
+registers a fire/undo pair with :meth:`FaultInjector.register_hooks`, and
+one scheduler records, fires and undoes every one of them.
+
 Injected failures raise :class:`~repro.errors.FaultInjected`, a subclass
 of :class:`~repro.errors.ServiceUnavailable` — clients cannot tell chaos
 from a real outage, which is the point.
@@ -50,8 +54,9 @@ from a real outage, which is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import ConfigurationError, FaultInjected
@@ -66,6 +71,8 @@ FLAP = "flap"
 PARTITION = "partition"
 CRASH = "crash"
 REGION_DOWN = "region_down"
+# hook kind of an inter-region partition (its Fault record is a PARTITION)
+REGION_PARTITION = "region_partition"
 # a persistently slow-but-alive replica: the canonical gray failure.
 # Mechanically a latency fault, but a distinct kind so chaos reports can
 # tell a transient network spike from a sick instance
@@ -145,42 +152,92 @@ class FaultInjector:
         self.injected_failures = 0
         self.injected_latency = 0.0
         self.failures_by_endpoint: Dict[str, int] = {}
-        # crash hooks: endpoint -> (crash_fn, restart_fn), registered by
-        # the deployment (only it knows how to wipe and recover a service)
-        self._crash_hooks: Dict[str, Tuple[object, object]] = {}
-        self.crashes_injected = 0
-        # region hooks: region -> (down_fn, up_fn); plus one pair of link
-        # hooks (sever_fn, heal_fn) for inter-region partitions — both
-        # registered by the multi-region deployment tier
-        self._region_hooks: Dict[str, Tuple[object, object]] = {}
-        self._region_link_hooks: Optional[Tuple[object, object]] = None
-        self.regions_downed = 0
-        self.region_partitions = 0
+        # (kind, target) -> (fire_fn, undo_fn), registered by the tiers
+        # that know how to break and mend what they built
+        self._hooks: Dict[Tuple[str, Optional[str]],
+                          Tuple[Callable, Optional[Callable]]] = {}
+        # hooked kind -> how many of its faults have fired
+        self.fired: Counter = Counter()
         # region -> callable returning the region's current replica
         # endpoint names, so gray_region() can fan a slow_replica fault
         # over whatever the fleet looks like when it is scheduled
         self._region_endpoint_fns: Dict[str, object] = {}
         self.gray_regions = 0
-        # continuous-authorization hooks, registered by the authz tier:
-        # (down_fn, restore_fn) for the PDP, (stick_fn, unstick_fn) for
-        # per-surface teardown wedges, storm_fn(count) for revocation
-        # storms.  Their marker endpoints carry an "authz:" prefix that
-        # never matches a real dst name, so perturb() ignores them.
-        self._pdp_hooks: Optional[Tuple[object, object]] = None
-        self._teardown_hooks: Optional[Tuple[object, object]] = None
-        self._storm_hook = None
-        self.pdp_outages = 0
-        self.teardowns_stuck = 0
-        self.revocation_storms = 0
-        # federation-directory hooks, registered by the directory tier:
-        # (down_fn, up_fn) taking (tier, shard) for shard faults, and
-        # (stale_fn, fresh_fn) taking a feed name for registrar outages.
-        # Marker endpoints use "shard:"/"feed:" prefixes that never match
-        # a real dst name, so perturb() ignores them.
-        self._shard_hooks: Optional[Tuple[object, object]] = None
-        self._feed_hooks: Optional[Tuple[object, object]] = None
-        self.shards_downed = 0
-        self.feeds_staled = 0
+
+    # ------------------------------------------------------------------
+    # hooks: how the deployment teaches the injector to break things
+    # ------------------------------------------------------------------
+    def register_hooks(self, kind: str, fire_fn: Callable,
+                       undo_fn: Optional[Callable] = None, *,
+                       target: Optional[str] = None) -> None:
+        """Teach the injector how to inflict (and mend) a hooked fault.
+
+        ``kind`` is the scheduling method's name; ``target`` keys hooks
+        that differ per instance (crash endpoints, regions).  The hooks
+        receive the scheduling method's arguments:
+
+        * ``crash`` (per endpoint) — fire takes the endpoint down and
+          wipes its in-memory state; undo brings it back (recovering
+          from the journal if durable, cold and empty otherwise);
+        * ``region_down`` (per region) — fire takes every replica in
+          the region down and fences its journal epoch; undo brings it
+          back under a fresh epoch, caches flushed, revocations resynced;
+        * ``region_partition`` — both take ``(region_a, region_b)``;
+          fire cuts bus replication and cross-region routing both ways,
+          undo restores them and flushes parked replication in order;
+        * ``pdp_down`` — undo must also re-heartbeat the guards and
+          re-drive anything the pipeline left pending;
+        * ``teardown_stuck`` — both take the surface name;
+        * ``revocation_storm`` — fire takes ``count``, fires that many
+          revocations across identities with live grants and returns
+          how many it fired (the pipeline coalesces duplicates);
+        * ``shard_down`` — both take ``(tier, shard)``: tier is
+          ``"accounts"`` or ``"metadata"``, shard e.g. ``"acct-03"``;
+        * ``metadata_feed_stale`` — both take the feed name.
+        """
+        self._hooks[(kind, target)] = (fire_fn, undo_fn)
+
+    def hooks(self, kind: str, target: Optional[str] = None
+              ) -> Tuple[Callable, Optional[Callable]]:
+        """The ``(fire_fn, undo_fn)`` registered for ``kind``/``target``."""
+        try:
+            return self._hooks[(kind, target)]
+        except KeyError:
+            where = "" if target is None else f" for {target!r}"
+            raise ConfigurationError(
+                f"no {kind} hooks registered{where}") from None
+
+    def _schedule(self, kind: str, fault: Fault, *args,
+                  target: Optional[str] = None) -> Fault:
+        """Record ``fault``, fire ``kind``'s hook with ``args`` at
+        ``fault.start``, and — when ``fault.duration`` is set — run the
+        undo hook that many seconds later and clear the fault."""
+        fire_fn, undo_fn = self.hooks(kind, target)
+        self._add(fault)
+
+        def _fire() -> None:
+            if fault.cleared:
+                return
+            self.fired[kind] += 1
+            if kind == REVOCATION_STORM:
+                # a storm offers `count` revocations; hits are the ones fired
+                fault.hits += int(fire_fn(*args))
+                fault.offers += args[0]
+                return
+            fault.hits += 1
+            fault.offers += 1
+            fire_fn(*args)
+
+        if fault.start <= self.clock.now():
+            _fire()
+        else:
+            self.clock.call_at(fault.start, _fire)
+        if fault.duration is not None:
+            def _undo() -> None:
+                undo_fn(*args)
+                fault.clear()
+            self.clock.call_at(fault.start + fault.duration, _undo)
+        return fault
 
     # ------------------------------------------------------------------
     # scheduling faults
@@ -189,12 +246,13 @@ class FaultInjector:
         self.faults.append(fault)
         return fault
 
+    def _start(self, at: Optional[float]) -> float:
+        return self.clock.now() if at is None else at
+
     def outage(self, endpoint: str, *, start: Optional[float] = None,
                duration: Optional[float] = None) -> Fault:
         """Hard-down window for ``endpoint``."""
-        return self._add(Fault(OUTAGE, endpoint,
-                               self.clock.now() if start is None else start,
-                               duration))
+        return self._add(Fault(OUTAGE, endpoint, self._start(start), duration))
 
     def brownout(self, endpoint: str, probability: float, *,
                  start: Optional[float] = None,
@@ -203,8 +261,7 @@ class FaultInjector:
         if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(
                 f"brownout probability must be in [0, 1], got {probability}")
-        return self._add(Fault(BROWNOUT, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(BROWNOUT, endpoint, self._start(start),
                                duration, probability=probability))
 
     def latency_spike(self, endpoint: str, extra: float, *,
@@ -213,8 +270,7 @@ class FaultInjector:
         """Messages to ``endpoint`` cost ``extra`` additional seconds."""
         if extra < 0:
             raise ConfigurationError(f"extra latency must be >= 0, got {extra}")
-        return self._add(Fault(LATENCY, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(LATENCY, endpoint, self._start(start),
                                duration, extra_latency=extra))
 
     def slow_replica(self, endpoint: str, extra: float, *,
@@ -226,8 +282,7 @@ class FaultInjector:
         if extra <= 0:
             raise ConfigurationError(
                 f"slow_replica extra latency must be > 0, got {extra}")
-        return self._add(Fault(SLOW_REPLICA, endpoint,
-                               self.clock.now() if start is None else start,
+        return self._add(Fault(SLOW_REPLICA, endpoint, self._start(start),
                                duration, extra_latency=extra))
 
     def flap(self, endpoint: str, period: float, *, up_fraction: float = 0.5,
@@ -237,27 +292,16 @@ class FaultInjector:
         then down for the remainder."""
         if period <= 0 or not 0.0 <= up_fraction <= 1.0:
             raise ConfigurationError("flap needs period > 0 and up_fraction in [0, 1]")
-        return self._add(Fault(FLAP, endpoint,
-                               self.clock.now() if start is None else start,
-                               duration, period=period, up_fraction=up_fraction))
+        return self._add(Fault(FLAP, endpoint, self._start(start), duration,
+                               period=period, up_fraction=up_fraction))
 
     def partition(self, loc_a: Tuple[object, object], loc_b: Tuple[object, object],
                   *, start: Optional[float] = None,
                   duration: Optional[float] = None) -> Fault:
         """Sever traffic between two (domain, zone) locations, both ways.
         A ``None`` zone matches the whole domain."""
-        return self._add(Fault(PARTITION, None,
-                               self.clock.now() if start is None else start,
-                               duration, loc_a=tuple(loc_a), loc_b=tuple(loc_b)))
-
-    def register_crash_hooks(self, endpoint: str, crash_fn, restart_fn) -> None:
-        """Teach the injector how to kill and restart ``endpoint``.
-
-        ``crash_fn`` must take the endpoint down and wipe its in-memory
-        state; ``restart_fn`` must bring it back (recovering from the
-        journal if the deployment is durable, cold and empty otherwise).
-        """
-        self._crash_hooks[endpoint] = (crash_fn, restart_fn)
+        return self._add(Fault(PARTITION, None, self._start(start), duration,
+                               loc_a=tuple(loc_a), loc_b=tuple(loc_b)))
 
     def crash(self, endpoint: str, *, at: Optional[float] = None,
               restart_after: Optional[float] = None) -> Fault:
@@ -271,51 +315,13 @@ class FaultInjector:
         the crash; omit it to leave the service down until the caller
         restarts it explicitly.
         """
-        if endpoint not in self._crash_hooks:
-            raise ConfigurationError(
-                f"no crash hooks registered for endpoint {endpoint!r}")
-        crash_fn, restart_fn = self._crash_hooks[endpoint]
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(CRASH, endpoint, start))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.crashes_injected += 1
-            crash_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restart_after is not None:
-            self.clock.call_at(start + restart_after, restart_fn)
-        return fault
+        return self._schedule(
+            CRASH, Fault(CRASH, endpoint, self._start(at), restart_after),
+            target=endpoint)
 
     # ------------------------------------------------------------------
     # region-scale faults (multi-region deployments register the hooks)
     # ------------------------------------------------------------------
-    def register_region_hooks(self, region: str, down_fn, up_fn) -> None:
-        """Teach the injector how to kill and recover a whole region.
-
-        ``down_fn`` must take every replica endpoint in the region down
-        and fence its journal epoch; ``up_fn`` must bring the region back
-        under a *fresh* epoch with caches flushed and revocation state
-        resynced from the authoritative store.
-        """
-        self._region_hooks[region] = (down_fn, up_fn)
-
-    def register_region_link_hooks(self, sever_fn, heal_fn) -> None:
-        """Register the pair that severs/heals inter-region links.
-
-        Both take ``(region_a, region_b)``; sever must cut bus
-        replication *and* cross-region routing in both directions, heal
-        must restore them and flush parked replication deterministically.
-        """
-        self._region_link_hooks = (sever_fn, heal_fn)
-
     def region_down(self, region: str, *, at: Optional[float] = None,
                     restore_after: Optional[float] = None) -> Fault:
         """Kill an entire region: every replica down + journal fenced.
@@ -324,29 +330,10 @@ class FaultInjector:
         ``restore_after`` schedules recovery that many seconds later;
         omit it to leave the region down until recovered explicitly.
         """
-        if region not in self._region_hooks:
-            raise ConfigurationError(
-                f"no region hooks registered for region {region!r}")
-        down_fn, up_fn = self._region_hooks[region]
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(REGION_DOWN, f"region:{region}", start,
-                                restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.regions_downed += 1
-            down_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            self.clock.call_at(start + restore_after, up_fn)
-        return fault
+        return self._schedule(
+            REGION_DOWN, Fault(REGION_DOWN, f"region:{region}",
+                               self._start(at), restore_after),
+            target=region)
 
     def register_region_endpoints(self, region: str, endpoints_fn) -> None:
         """Teach the injector which replica endpoints make up ``region``
@@ -377,44 +364,19 @@ class FaultInjector:
         deterministically; otherwise call the returned fault's hooks via
         :meth:`heal_region_partition` (or let the deployment heal).
         """
-        if self._region_link_hooks is None:
-            raise ConfigurationError("no region link hooks registered")
-        sever_fn, heal_fn = self._region_link_hooks
-        start = self.clock.now() if at is None else at
         # loc_a/loc_b are recorded for observability; the "region" marker
         # never equals an OperatingDomain, so perturb() ignores this fault
-        fault = self._add(Fault(PARTITION, None, start, duration,
-                                loc_a=("region", region_a),
-                                loc_b=("region", region_b)))
-
-        def _sever() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.region_partitions += 1
-            sever_fn(region_a, region_b)
-
-        if start <= self.clock.now():
-            _sever()
-        else:
-            self.clock.call_at(start, _sever)
-        if duration is not None:
-            def _heal() -> None:
-                heal_fn(region_a, region_b)
-                fault.clear()
-            self.clock.call_at(start + duration, _heal)
-        return fault
+        return self._schedule(
+            REGION_PARTITION,
+            Fault(PARTITION, None, self._start(at), duration,
+                  loc_a=("region", region_a), loc_b=("region", region_b)),
+            region_a, region_b)
 
     # ------------------------------------------------------------------
     # continuous-authorization faults (the authz tier registers the hooks)
     # ------------------------------------------------------------------
-    def register_pdp_hooks(self, down_fn, restore_fn) -> None:
-        """Teach the injector how to kill and restore the policy decision
-        point.  ``restore_fn`` must also re-heartbeat the guards and
-        re-drive anything the pipeline left pending."""
-        self._pdp_hooks = (down_fn, restore_fn)
-
+    # Their marker endpoints carry an "authz:" prefix that never matches a
+    # real dst name, so perturb() ignores them.
     def pdp_down(self, *, at: Optional[float] = None,
                  restore_after: Optional[float] = None) -> Fault:
         """Make the policy decision point unreachable.
@@ -424,108 +386,37 @@ class FaultInjector:
         schedules the heal; omit it to leave the PDP down until restored
         explicitly.
         """
-        if self._pdp_hooks is None:
-            raise ConfigurationError("no PDP hooks registered")
-        down_fn, restore_fn = self._pdp_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(PDP_DOWN, "authz:pdp", start, restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.pdp_outages += 1
-            down_fn()
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            def _restore() -> None:
-                restore_fn()
-                fault.clear()
-            self.clock.call_at(start + restore_after, _restore)
-        return fault
-
-    def register_teardown_hooks(self, stick_fn, unstick_fn) -> None:
-        """Register the pair that wedges/unwedges one enforcement
-        surface's teardown; both take the surface name."""
-        self._teardown_hooks = (stick_fn, unstick_fn)
+        return self._schedule(
+            PDP_DOWN, Fault(PDP_DOWN, "authz:pdp", self._start(at),
+                            restore_after))
 
     def teardown_stuck(self, surface: str, *, at: Optional[float] = None,
                        duration: Optional[float] = None) -> Fault:
         """Wedge one enforcement surface: revocations journal and fan out
         everywhere else, but this surface confirms nothing until the
         fault ends (the pipeline's retry loop then converges it)."""
-        if self._teardown_hooks is None:
-            raise ConfigurationError("no teardown hooks registered")
-        stick_fn, unstick_fn = self._teardown_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(TEARDOWN_STUCK, f"authz:{surface}", start,
-                                duration))
-
-        def _stick() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.teardowns_stuck += 1
-            stick_fn(surface)
-
-        if start <= self.clock.now():
-            _stick()
-        else:
-            self.clock.call_at(start, _stick)
-        if duration is not None:
-            def _unstick() -> None:
-                unstick_fn(surface)
-                fault.clear()
-            self.clock.call_at(start + duration, _unstick)
-        return fault
-
-    def register_storm_hook(self, storm_fn) -> None:
-        """Register the callable that fires ``count`` revocations across
-        identities with live grants (the pipeline coalesces duplicates)."""
-        self._storm_hook = storm_fn
+        return self._schedule(
+            TEARDOWN_STUCK, Fault(TEARDOWN_STUCK, f"authz:{surface}",
+                                  self._start(at), duration),
+            surface)
 
     def revocation_storm(self, count: int, *,
                          at: Optional[float] = None) -> Fault:
         """Land a burst of ``count`` revocation requests on the pipeline
         at one instant — the retry-storm guard and coalescing are what
         keep this from amplifying into N full teardowns."""
-        if self._storm_hook is None:
-            raise ConfigurationError("no storm hook registered")
         if count <= 0:
             raise ConfigurationError(f"storm count must be > 0, got {count}")
-        storm_fn = self._storm_hook
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(REVOCATION_STORM, "authz:pipeline", start))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fired = storm_fn(count)
-            fault.hits += int(fired)
-            fault.offers += count
-            self.revocation_storms += 1
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        return fault
+        return self._schedule(
+            REVOCATION_STORM,
+            Fault(REVOCATION_STORM, "authz:pipeline", self._start(at)),
+            count)
 
     # ------------------------------------------------------------------
     # federation-directory faults (the directory tier registers the hooks)
     # ------------------------------------------------------------------
-    def register_shard_hooks(self, down_fn, up_fn) -> None:
-        """Register the pair that downs/restores one directory shard;
-        both take ``(tier, shard)`` — tier is ``"accounts"`` or
-        ``"metadata"``, shard the shard name (e.g. ``"acct-03"``)."""
-        self._shard_hooks = (down_fn, up_fn)
-
+    # Marker endpoints use "shard:"/"feed:" prefixes that never match a
+    # real dst name, so perturb() ignores them.
     def shard_down(self, tier: str, shard: str, *, at: Optional[float] = None,
                    restore_after: Optional[float] = None) -> Fault:
         """Take one directory shard down (state intact, just unreachable).
@@ -536,73 +427,24 @@ class FaultInjector:
         schedules the heal; omit it to leave the shard down until
         restored explicitly.
         """
-        if self._shard_hooks is None:
-            raise ConfigurationError("no shard hooks registered")
-        down_fn, up_fn = self._shard_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(SHARD_DOWN, f"shard:{tier}/{shard}", start,
-                                restore_after))
-
-        def _fire() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.shards_downed += 1
-            down_fn(tier, shard)
-
-        if start <= self.clock.now():
-            _fire()
-        else:
-            self.clock.call_at(start, _fire)
-        if restore_after is not None:
-            def _restore() -> None:
-                up_fn(tier, shard)
-                fault.clear()
-            self.clock.call_at(start + restore_after, _restore)
-        return fault
-
-    def register_feed_hooks(self, stale_fn, fresh_fn) -> None:
-        """Register the pair that downs/restores a metadata feed's
-        registrar; both take the feed name."""
-        self._feed_hooks = (stale_fn, fresh_fn)
+        return self._schedule(
+            SHARD_DOWN, Fault(SHARD_DOWN, f"shard:{tier}/{shard}",
+                              self._start(at), restore_after),
+            tier, shard)
 
     def metadata_feed_stale(self, feed: str, *, at: Optional[float] = None,
                             duration: Optional[float] = None) -> Fault:
         """Silence one federation registrar: polls fail, no new deltas
         arrive, and the feed's already-ingested entries age toward their
         validity horizon — past it, logins through them fail closed."""
-        if self._feed_hooks is None:
-            raise ConfigurationError("no feed hooks registered")
-        stale_fn, fresh_fn = self._feed_hooks
-        start = self.clock.now() if at is None else at
-        fault = self._add(Fault(METADATA_FEED_STALE, f"feed:{feed}", start,
-                                duration))
-
-        def _stale() -> None:
-            if fault.cleared:
-                return
-            fault.hits += 1
-            fault.offers += 1
-            self.feeds_staled += 1
-            stale_fn(feed)
-
-        if start <= self.clock.now():
-            _stale()
-        else:
-            self.clock.call_at(start, _stale)
-        if duration is not None:
-            def _fresh() -> None:
-                fresh_fn(feed)
-                fault.clear()
-            self.clock.call_at(start + duration, _fresh)
-        return fault
+        return self._schedule(
+            METADATA_FEED_STALE, Fault(METADATA_FEED_STALE, f"feed:{feed}",
+                                       self._start(at), duration),
+            feed)
 
     def heal_region_partition(self, region_a: str, region_b: str) -> None:
         """Explicitly heal a previously severed inter-region link."""
-        if self._region_link_hooks is None:
-            raise ConfigurationError("no region link hooks registered")
-        self._region_link_hooks[1](region_a, region_b)
+        self.hooks(REGION_PARTITION)[1](region_a, region_b)
         for f in self.faults:
             if (f.kind == PARTITION and f.loc_a == ("region", region_a)
                     and f.loc_b == ("region", region_b) and not f.cleared):

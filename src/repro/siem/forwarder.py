@@ -99,7 +99,10 @@ class LogForwarder(Durable):
         self.retain_on_failure = retain_on_failure
         self._buffer: List[Dict[str, object]] = []
         self.shipped = 0
-        self.dropped = 0        # filtered out by the agreed-actions list
+        # filtered out by the agreed-actions list: those events never
+        # enter the durable pipeline, so (like last_sink_error) the count
+        # is a diagnostic a crash neither journals nor wipes
+        self.dropped = 0
         self.lost = 0           # lost to buffer overflow / legacy mode
         self.sink_failures = 0
         self.last_sink_error: Optional[str] = None
@@ -183,14 +186,13 @@ class LogForwarder(Durable):
     def durable_state(self) -> Dict[str, object]:
         return {
             "buffer": [dict(r) for r in self._buffer],
-            "shipped": self.shipped, "dropped": self.dropped,
-            "lost": self.lost, "sink_failures": self.sink_failures,
+            "shipped": self.shipped, "lost": self.lost,
+            "sink_failures": self.sink_failures,
         }
 
     def wipe_state(self) -> None:
         self._buffer = []
         self.shipped = 0
-        self.dropped = 0
         self.lost = 0
         self.sink_failures = 0
         self._running = False
@@ -198,7 +200,6 @@ class LogForwarder(Durable):
     def load_state(self, state: Dict[str, object]) -> None:
         self._buffer = [dict(r) for r in state["buffer"]]
         self.shipped = int(state["shipped"])
-        self.dropped = int(state["dropped"])
         self.lost = int(state["lost"])
         self.sink_failures = int(state["sink_failures"])
 

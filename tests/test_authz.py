@@ -430,7 +430,7 @@ class TestAuthzFaults:
         dri.clock.advance(stuck_for + 0.1)
         assert intent.complete
         assert intent.ttr() <= stuck_for + dri.authz.config.retry_interval
-        assert dri.faults.teardowns_stuck == 1
+        assert dri.faults.fired["teardown_stuck"] == 1
 
     def test_revocation_storm_coalesces(self):
         dri = self._onboard(91)
@@ -441,7 +441,7 @@ class TestAuthzFaults:
         pipe = dri.authz.pipeline
         assert pipe.revocations <= len(identities)
         assert pipe.storms_coalesced == storm - pipe.revocations
-        assert dri.faults.revocation_storms == 1
+        assert dri.faults.fired["revocation_storm"] == 1
         dri.clock.advance(10.0)
         assert not pipe.pending_intents()
         assert dri.authz.registry.identities_with_live_grants() == []

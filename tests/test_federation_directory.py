@@ -617,4 +617,4 @@ def test_chaos_shard_down_on_deployment_registry():
     dri.clock.advance(31.0)
     assert reg.shards[owner].up
     assert reg.find(ident) is not None
-    assert dri.faults.shards_downed == 1
+    assert dri.faults.fired["shard_down"] == 1
