@@ -104,6 +104,8 @@ class LogForwarder(Durable):
         # is a diagnostic a crash neither journals nor wipes
         self.dropped = 0
         self.lost = 0           # lost to buffer overflow / legacy mode
+        # failed sink calls: a failure leaves no record to journal, so
+        # this is a diagnostic too, alongside last_sink_error
         self.sink_failures = 0
         self.last_sink_error: Optional[str] = None
         self._running = False
@@ -172,6 +174,10 @@ class LogForwarder(Durable):
                 self._enforce_cap()
             else:
                 self.lost += len(batch)
+                if self.journal is not None:
+                    # the batch is gone: checkpoint, or a replay of its
+                    # journaled accepts would bring it back
+                    self.journal.snapshot(self.durable_state())
             return 0
         self.shipped += len(batch)
         if self.journal is not None:
@@ -187,21 +193,18 @@ class LogForwarder(Durable):
         return {
             "buffer": [dict(r) for r in self._buffer],
             "shipped": self.shipped, "lost": self.lost,
-            "sink_failures": self.sink_failures,
         }
 
     def wipe_state(self) -> None:
         self._buffer = []
         self.shipped = 0
         self.lost = 0
-        self.sink_failures = 0
         self._running = False
 
     def load_state(self, state: Dict[str, object]) -> None:
         self._buffer = [dict(r) for r in state["buffer"]]
         self.shipped = int(state["shipped"])
         self.lost = int(state["lost"])
-        self.sink_failures = int(state["sink_failures"])
 
     def apply_entry(self, kind: str, data: Dict[str, object]) -> None:
         if kind == "fw.accept":

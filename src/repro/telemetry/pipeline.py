@@ -28,7 +28,9 @@ In-flight traces (any unfinished span) are never evicted.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Set, Tuple
 
 from repro.telemetry.tracing import Span, SpanStatus, SpanStore
@@ -101,6 +103,15 @@ class BoundedSpanStore(SpanStore):
 
     Drop-in: the tracer, the SIEM trace correlation and the analysis
     helpers all see the normal store API; only retention changes.
+
+    Retention is decided incrementally.  A trace is marked dirty when a
+    span joins it, when one of its spans ends and when it is pinned;
+    :meth:`compact` reclassifies only the dirty traces.  The evictable
+    ones sit in a per-window ``(duration, trace_id)`` ranking, whose top
+    k are the slowest-k class, and in a ``(start, trace_id)`` heap that
+    is invalidated lazily.  Eviction pops that heap, so a compaction
+    costs O(dirty + popped), not O(retained), and keeps and evicts
+    exactly the traces a full rescan would.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -111,6 +122,15 @@ class BoundedSpanStore(SpanStore):
         self.evicted_spans = 0
         self.evicted_traces = 0
         self.compactions = 0
+        # traces reclassified plus heap entries popped: deterministic
+        # compaction work, O(1) per add amortised
+        self.work_items = 0
+        self._dirty: Dict[str, None] = {}      # insertion-ordered set
+        self._sampled: Dict[str, bool] = {}    # hash verdict per trace
+        # evictable trace -> (start, window, ranking key)
+        self._evictable: Dict[str, Tuple[float, int, Tuple[float, str]]] = {}
+        self._windows: Dict[int, List[Tuple[float, str]]] = {}  # ascending
+        self._heap: List[Tuple[float, str]] = []
 
     # ---------------------------------------------------------- pinning
     def protect(self, trace_id: str) -> None:
@@ -118,6 +138,8 @@ class BoundedSpanStore(SpanStore):
         fail-closed denials — anything a post-mortem will replay)."""
         if trace_id:
             self._protected.add(trace_id)
+            if trace_id in self._by_trace:
+                self._dirty[trace_id] = None
 
     def protected_ids(self) -> Set[str]:
         return set(self._protected)
@@ -131,9 +153,13 @@ class BoundedSpanStore(SpanStore):
     # --------------------------------------------------------- ingestion
     def add(self, span: Span) -> Span:
         super().add(span)
+        self._dirty[span.trace_id] = None
         if len(self._spans) > self.config.max_spans:
             self.compact()
         return span
+
+    def ended(self, span: Span) -> None:
+        self._dirty[span.trace_id] = None
 
     # --------------------------------------------------------- sampling
     def _trace_duration(self, spans: List[Span]) -> float:
@@ -146,6 +172,54 @@ class BoundedSpanStore(SpanStore):
         end = max(s.end for s in spans if s.end is not None)
         return end - start
 
+    def _is_slow(self, window: int, key: Tuple[float, str]) -> bool:
+        """Whether ``key`` ranks among the slowest k of its window."""
+        bucket = self._windows[window]
+        return bisect_left(bucket, key) >= len(bucket) - self.config.slowest_k
+
+    def _unrank(self, tid: str) -> None:
+        """Withdraw a trace from the evictable set.  If it was one of its
+        window's slowest k, the next slowest takes its place; that
+        trace's heap entry goes stale and is skipped when popped."""
+        entry = self._evictable.pop(tid, None)
+        if entry is None:
+            return
+        _, window, key = entry
+        bucket = self._windows[window]
+        del bucket[bisect_left(bucket, key)]
+        if not bucket:
+            del self._windows[window]
+
+    def _reclassify(self, tid: str) -> None:
+        """Apply the retention classes to one trace, as it is now."""
+        self.work_items += 1
+        self._unrank(tid)
+        spans = self._by_trace.get(tid)
+        if not spans or any(not s.finished for s in spans):
+            return                      # gone, or in flight: untouchable
+        if self.trace_protected(tid):
+            return
+        sampled = self._sampled.get(tid)
+        if sampled is None:
+            sampled = self._sampled[tid] = trace_sampled(
+                tid, self.config.sample_rate)
+        if sampled:
+            return
+        start = min(s.start for s in spans)
+        key = (self._trace_duration(spans), tid)
+        window = int(start // self.config.window)
+        self._evictable[tid] = (start, window, key)
+        bucket = self._windows.setdefault(window, [])
+        i = bisect_left(bucket, key)
+        bucket.insert(i, key)
+        cut = len(bucket) - self.config.slowest_k
+        if i < cut:
+            heappush(self._heap, (start, tid))
+        elif cut > 0:
+            # it joined the slowest k and pushed the old k-th slowest out
+            out = bucket[cut - 1][1]
+            heappush(self._heap, (self._evictable[out][0], out))
+
     def compact(self) -> None:
         """Apply the retention classes and evict the remainder into RED
         rollups, oldest trace first, down to the target fill."""
@@ -153,35 +227,24 @@ class BoundedSpanStore(SpanStore):
         excess = len(self._spans) - target
         if excess <= 0:
             return
-        # classify completed traces; unfinished traces are untouchable
-        candidates: List[Tuple[float, str, List[Span]]] = []
-        windows: Dict[int, List[Tuple[float, str]]] = {}
-        for tid, spans in self._by_trace.items():
-            if any(not s.finished for s in spans):
-                continue
-            if self.trace_protected(tid):
-                continue
-            if trace_sampled(tid, self.config.sample_rate):
-                continue
-            start = min(s.start for s in spans)
-            duration = self._trace_duration(spans)
-            candidates.append((start, tid, spans))
-            windows.setdefault(int(start // self.config.window), []).append(
-                (duration, tid))
-        # slowest-k per window survive even though they sampled out
-        slow: Set[str] = set()
-        for bucket in windows.values():
-            bucket.sort(reverse=True)
-            slow.update(tid for _, tid in bucket[:self.config.slowest_k])
+        dirty, self._dirty = self._dirty, {}
+        for tid in dirty:
+            self._reclassify(tid)
+        # slowest-k per window survive even though they sampled out;
+        # evicting a trace outside the slowest k leaves that set as is
         doomed: List[str] = []
         evicting = 0
-        for start, tid, spans in sorted(candidates,
-                                        key=lambda c: (c[0], c[1])):
-            if evicting >= excess:
-                break
-            if tid in slow:
-                continue
+        while evicting < excess and self._heap:
+            start, tid = heappop(self._heap)
+            self.work_items += 1
+            entry = self._evictable.get(tid)
+            if (entry is None or entry[0] != start
+                    or self._is_slow(entry[1], entry[2])):
+                continue                # stale entry
+            self._unrank(tid)
+            self._sampled.pop(tid, None)
             doomed.append(tid)
+            spans = self._by_trace[tid]
             evicting += len(spans)
             for span in spans:
                 key = (span.service or span.name, span.status)
@@ -205,4 +268,5 @@ class BoundedSpanStore(SpanStore):
             "compactions": self.compactions,
             "budget": self.config.max_spans,
             "rolled_up": sum(a.count for a in self.rollups.values()),
+            "work_items": self.work_items,
         }

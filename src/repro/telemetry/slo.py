@@ -34,6 +34,10 @@ def burn_rate(error_rate: float, objective: float) -> float:
     return error_rate / budget
 
 
+def _ratio(errors: int, total: int) -> float:
+    return errors / total if total else 0.0
+
+
 @dataclass(frozen=True)
 class BurnRateAlert:
     """One SLO page: both windows over threshold at ``time``."""
@@ -58,10 +62,17 @@ class BurnRateAlert:
 class SloMonitor:
     """Event-fed availability SLO with multi-window burn-rate alerting.
 
-    ``record(time, ok)`` is called once per qualifying request; when the
-    burn condition trips, every subscribed callback receives a
-    :class:`BurnRateAlert`.  ``min_events`` avoids paging off a handful
-    of early samples, ``cooldown`` rate-limits repeat pages.
+    ``record(time, ok)`` is called once per qualifying request, in
+    non-decreasing time order; when the burn condition trips, every
+    subscribed callback receives a :class:`BurnRateAlert`.
+    ``min_events`` avoids paging off a handful of early samples,
+    ``cooldown`` rate-limits repeat pages.
+
+    Each window keeps its events in a deque, trimmed from the front as
+    time passes, with running ``(total, errors)`` counts, so evaluating
+    both windows is O(1) per event however many events the slow window
+    holds.  ``trimmed`` counts the events trimmed from either window: at
+    most two per recorded event.
     """
 
     def __init__(self, name: str, *, service: str = "", objective: float = 0.99,
@@ -80,9 +91,12 @@ class SloMonitor:
         self.threshold = threshold
         self.min_events = min_events
         self.cooldown = cooldown
-        # (time, ok) events; slow window is a superset of fast, so one
-        # deque bounded by the slow window serves both.
+        # (time, ok) events and (total, errors) counts per window
         self._events: Deque[Tuple[float, bool]] = deque()
+        self._fast_events: Deque[Tuple[float, bool]] = deque()
+        self._counts = [0, 0]
+        self._fast_counts = [0, 0]
+        self.trimmed = 0
         self._subscribers: List[Callable[[BurnRateAlert], None]] = []
         self._last_alert: Optional[float] = None
         self.alerts: List[BurnRateAlert] = []
@@ -92,7 +106,13 @@ class SloMonitor:
         self._subscribers.append(callback)
 
     def record(self, time: float, ok: bool) -> Optional[BurnRateAlert]:
-        self._events.append((time, ok))
+        if self._events and time < self._events[-1][0]:
+            raise ValueError("SLO events must be recorded in time order")
+        for events, counts in ((self._events, self._counts),
+                               (self._fast_events, self._fast_counts)):
+            events.append((time, ok))
+            counts[0] += 1
+            counts[1] += not ok
         self._trim(time)
         alert = self._evaluate(time)
         if alert is not None:
@@ -103,11 +123,19 @@ class SloMonitor:
 
     # ---------------------------------------------------------- internals
     def _trim(self, now: float) -> None:
-        horizon = now - self.slow_window
-        while self._events and self._events[0][0] < horizon:
-            self._events.popleft()
+        for events, counts, window in (
+                (self._events, self._counts, self.slow_window),
+                (self._fast_events, self._fast_counts, self.fast_window)):
+            horizon = now - window
+            while events and events[0][0] < horizon:
+                _, ok = events.popleft()
+                counts[0] -= 1
+                counts[1] -= not ok
+                self.trimmed += 1
 
     def error_rate(self, now: float, window: float) -> float:
+        """Error rate over ``[now - window, now]`` for any window up to
+        the slow one; a scan, for queries outside the per-event path."""
         horizon = now - window
         total = errors = 0
         for when, ok in self._events:
@@ -115,7 +143,7 @@ class SloMonitor:
                 total += 1
                 if not ok:
                     errors += 1
-        return errors / total if total else 0.0
+        return _ratio(errors, total)
 
     def burn(self, now: float, window: float) -> float:
         return burn_rate(self.error_rate(now, window), self.objective)
@@ -125,8 +153,10 @@ class SloMonitor:
             return None
         if self._last_alert is not None and now - self._last_alert < self.cooldown:
             return None
-        fast = self.burn(now, self.fast_window)
-        slow = self.burn(now, self.slow_window)
+        fast = burn_rate(_ratio(self._fast_counts[1], self._fast_counts[0]),
+                         self.objective)
+        slow = burn_rate(_ratio(self._counts[1], self._counts[0]),
+                         self.objective)
         if fast < self.threshold or slow < self.threshold:
             return None
         self._last_alert = now

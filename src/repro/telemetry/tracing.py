@@ -95,7 +95,9 @@ class SpanStore:
     """All recorded spans, indexed by trace id (the in-process backend)."""
 
     def __init__(self) -> None:
-        self._spans: List[Span] = []
+        # insertion-ordered, keyed by object identity, so dropping a
+        # trace deletes its own spans instead of rebuilding the whole list
+        self._spans: Dict[int, Span] = {}
         self._by_trace: Dict[str, List[Span]] = defaultdict(list)
         # span ids per trace, maintained incrementally so orphan checks
         # don't rebuild the set per trace per call (the tracewatch
@@ -103,13 +105,13 @@ class SpanStore:
         self._ids: Dict[str, Set[str]] = defaultdict(set)
 
     def add(self, span: Span) -> Span:
-        self._spans.append(span)
+        self._spans[id(span)] = span
         self._by_trace[span.trace_id].append(span)
         self._ids[span.trace_id].add(span.span_id)
         return span
 
     def spans(self) -> List[Span]:
-        return list(self._spans)
+        return list(self._spans.values())
 
     def trace(self, trace_id: str) -> List[Span]:
         """Spans of one trace, in start order."""
@@ -137,20 +139,22 @@ class SpanStore:
         return out
 
     def unfinished(self) -> List[Span]:
-        return [s for s in self._spans if not s.finished]
+        return [s for s in self._spans.values() if not s.finished]
+
+    def ended(self, span: Span) -> None:
+        """Called by :meth:`Tracer.end` once ``span`` is closed; a store
+        whose retention depends on span outcomes hooks in here."""
 
     def _drop_traces(self, trace_ids: Iterable[str]) -> int:
         """Remove whole traces, keeping every index consistent; returns
         the number of spans dropped (retention policies live in
         :class:`~repro.telemetry.pipeline.BoundedSpanStore`)."""
-        doomed = set(trace_ids)
         dropped = 0
-        for tid in doomed:
-            dropped += len(self._by_trace.pop(tid, ()))
+        for tid in set(trace_ids):
+            for span in self._by_trace.pop(tid, ()):
+                del self._spans[id(span)]
+                dropped += 1
             self._ids.pop(tid, None)
-        if doomed:
-            self._spans = [s for s in self._spans
-                           if s.trace_id not in doomed]
         return dropped
 
     def __len__(self) -> int:
@@ -221,6 +225,7 @@ class Tracer:
             span.status = SpanStatus.OK
         if error is not None:
             span.error = type(error).__name__
+        self.store.ended(span)
         return span
 
     # ------------------------------------------------------- retroactive

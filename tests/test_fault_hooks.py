@@ -13,7 +13,7 @@ import pytest
 
 from repro.clock import SimClock
 from repro.core import build_isambard
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServiceUnavailable
 from repro.federation.directory import DirectoryConfig
 from repro.resilience import FaultInjector
 
@@ -119,3 +119,37 @@ def test_every_crash_target_recovers_its_pre_crash_state():
     assert all(dri.network.endpoint(r).up for r in dri.broker_pool.replicas())
     assert dri.network.endpoint("broker-origin").up
     assert dri.workflows.story1_pi_onboarding("pi2").ok
+
+
+@pytest.mark.parametrize("retain", [True, False], ids=["retain", "legacy"])
+def test_forwarder_crash_after_a_failed_flush_keeps_its_counters(retain):
+    """A failed flush changes the forwarder's state without a journaled
+    record: the legacy mode loses the batch, and either mode counts a
+    sink failure.  A crash right after must come back to that state."""
+    dri = build_isambard(seed=9, durability=True, telemetry=False)
+    wf = dri.workflows
+    fw = _component(dri, "fw-fds")
+    fw.retain_on_failure = retain
+    assert wf.story1_pi_onboarding("pi").ok
+    dri.ship_logs()                      # one good flush: shipped > 0
+    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+    assert fw.buffered() > 0
+
+    sink = fw.sink
+
+    def soc_down(batch):
+        raise ServiceUnavailable("soc unreachable")
+
+    fw.sink = soc_down
+    assert fw.flush() == 0
+    fw.sink = sink
+    # records accepted after the failure sit in the journal tail
+    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+
+    before = (fw.durable_state(), fw.sink_failures)
+    assert before[0]["shipped"] > 0 and before[1] == 1
+    assert (before[0]["lost"] > 0) == (not retain)
+    dri.crash("fw-fds")
+    assert fw.buffered() == 0 and fw.shipped == 0     # the crash bit
+    assert dri.restart("fw-fds") is not None
+    assert (fw.durable_state(), fw.sink_failures) == before

@@ -44,6 +44,7 @@ from repro.resilience import (
 )
 from repro.siem import TraceAnomalyScanner, TraceIntegrityRule, build_trace_timeline
 from repro.telemetry import (
+    BurnRateAlert,
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
@@ -238,6 +239,96 @@ def test_slo_monitor_min_events_gate():
     for t in range(4):
         assert m.record(float(t), False) is None  # under min_events
     assert m.record(4.0, False) is not None
+
+
+class ScanningSloMonitor(SloMonitor):
+    """Reference: one deque, and both windows rescanned on every event."""
+
+    def record(self, time, ok):
+        self._events.append((time, ok))
+        horizon = time - self.slow_window
+        while self._events and self._events[0][0] < horizon:
+            self._events.popleft()
+        alert = self._evaluate(time)
+        if alert is not None:
+            self.alerts.append(alert)
+        return alert
+
+    def _evaluate(self, now):
+        if len(self._events) < self.min_events:
+            return None
+        if self._last_alert is not None and now - self._last_alert < self.cooldown:
+            return None
+        fast = self.burn(now, self.fast_window)
+        slow = self.burn(now, self.slow_window)
+        if fast < self.threshold or slow < self.threshold:
+            return None
+        self._last_alert = now
+        return BurnRateAlert(
+            time=now, slo=self.name, service=self.service,
+            fast_burn=fast, slow_burn=slow, threshold=self.threshold,
+            fast_window=self.fast_window, slow_window=self.slow_window,
+            events_in_slow_window=len(self._events),
+        )
+
+
+def _slo_stream(rng, n):
+    """Integer-ish times, so events land exactly on ``now - window``;
+    error bursts, and gaps longer than the slow window."""
+    t, err_p = 0.0, 0.02
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.02:
+            t += rng.choice([100.0, 250.0])         # outlasts the slow window
+        elif r < 0.05:
+            err_p = rng.choice([0.0, 0.02, 0.5, 1.0])  # burst on or off
+        t += rng.choice([0.0, 0.5, 1.0, 1.0, 2.0, 5.0])
+        yield t, rng.random() >= err_p
+
+
+# every event evaluates and pages, exposing both burns at every step
+_PAGE_ALWAYS = dict(threshold=0.0, min_events=1, cooldown=0.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("knobs", [_PAGE_ALWAYS,
+                                   dict(threshold=2.0, min_events=5,
+                                        cooldown=30.0)],
+                         ids=["every-event", "paging"])
+def test_counting_slo_monitor_matches_the_rescan(seed, knobs):
+    rng = random.Random(seed)
+    kw = dict(objective=0.9, fast_window=rng.choice([5.0, 10.0]),
+              slow_window=rng.choice([50.0, 100.0]), **knobs)
+    fast, ref = SloMonitor("s", **kw), ScanningSloMonitor("s", **kw)
+    for time, ok in _slo_stream(rng, 1500):
+        assert fast.record(time, ok) == ref.record(time, ok)
+    assert fast.alerts == ref.alerts
+    assert len(ref.alerts) > (1000 if knobs is _PAGE_ALWAYS else 0)
+
+
+def test_slo_monitor_rejects_events_out_of_time_order():
+    m = SloMonitor("s", fast_window=10.0, slow_window=100.0)
+    m.record(5.0, True)
+    m.record(5.0, False)
+    with pytest.raises(ValueError):
+        m.record(4.0, True)
+
+
+def test_slo_monitor_touches_at_most_two_events_per_record():
+    """Soak: 20k events through a monitor whose slow window holds
+    thousands of them; evaluation reads counters, never the windows."""
+    m = SloMonitor("soak", objective=0.99, fast_window=300.0,
+                   slow_window=3600.0, threshold=14.4, min_events=20,
+                   cooldown=600.0)
+    scans = []
+    m.error_rate = lambda now, window: scans.append(window)  # type: ignore
+    rng = random.Random(3)
+    for i in range(20_000):
+        m.record(i * 0.5, rng.random() > 0.2)
+    assert scans == []
+    assert len(m._events) == 7201          # the slow window really is full
+    assert m.trimmed <= 2 * 20_000
+    assert m.alerts                        # and it did evaluate and page
 
 
 # ---------------------------------------------------------------------------
