@@ -16,30 +16,25 @@
 
 The firewall opens exactly the flows the paper draws; everything else is
 default-deny.  All cross-boundary traffic must be encrypted.
+
+The builder builds that core first and wraps it in the
+:class:`IsambardDeployment` handle; each opt-in subsystem then installs
+itself onto the handle with its own ``install(dri, ...)`` function.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.audit import AuditLog, CombinedAuditView
-from repro.authz import (
-    AuthzConfig,
-    AuthzGuard,
-    AuthzRuntime,
-    ContinuousAuthorizer,
-    IdentityGraph,
-    PolicyDecisionPoint,
-    RevocationPipeline,
-    SessionRegistry,
-)
+from repro.authz import AuthzConfig, AuthzRuntime
+from repro.authz import install as install_authz
 from repro.broker import IdentityBroker, RbacTokenValidator, Role
 from repro.clock import SimClock
 from repro.errors import (
     ClaimMissing,
-    ConfigurationError,
     IssuerMismatch,
     SignatureInvalid,
     TokenExpired,
@@ -63,17 +58,16 @@ from repro.federation import (
 from repro.federation.directory import (
     DirectoryConfig,
     FederationDirectory,
-    MetadataIngestor,
     ShardedAccountRegistry,
     ShardedMetadataStore,
 )
+from repro.federation.directory import install as install_directory
 from repro.ids import IdFactory
 from repro.net import Firewall, Network, OperatingDomain, Service, Zone
 from repro.oidc import make_url
 from repro.policy import PolicyEngine, standard_zero_trust_rules
 from repro.portal import UserPortal
 from repro.region import (
-    DOWN,
     GeoRouter,
     Region,
     RegionBusAdapter,
@@ -91,6 +85,9 @@ from repro.resilience import (
     RetryPolicy,
     TailConfig,
 )
+from repro.resilience.durability import install as install_durability
+from repro.resilience.failover import install as install_failover
+from repro.resilience.retry import install as install_resilience
 from repro.scale import (
     Autoscaler,
     ConsistentHashPolicy,
@@ -103,16 +100,14 @@ from repro.scale import (
     TtlCache,
 )
 from repro.siem import (
-    Alert,
     CacheStalenessRule,
     KillSwitchController,
     LogForwarder,
     SecurityOperationsCentre,
-    TraceIntegrityRule,
-    UnexplainedDecisionRule,
 )
 from repro.sshca import BastionSet, LoginNodeSshd, SshCertificateAuthority
 from repro.telemetry import PipelineConfig, Telemetry
+from repro.telemetry.runtime import install as install_telemetry
 from repro.tunnels import CloudflareEdge, TailnetCoordinator, ZenithClient, ZenithServer
 
 __all__ = ["IsambardDeployment", "build_isambard", "DEFAULT_IDPS"]
@@ -193,8 +188,6 @@ class IsambardDeployment:
     telemetry: Optional[Telemetry] = None
     # bounded-retention telemetry pipeline; None when pipeline off
     pipeline_config: Optional[PipelineConfig] = None
-    # validator factory honouring failover re-pointing (set by the builder)
-    validator_factory: Optional[object] = None
     # horizontal scale-out (repro.scale); all None/empty unless scale on
     scale: Optional[ScaleConfig] = None
     broker_pool: Optional[ReplicaPool] = None
@@ -216,14 +209,35 @@ class IsambardDeployment:
     directory: Optional[FederationDirectory] = None
 
     # ------------------------------------------------------------------
+    @property
+    def login_nodes(self) -> Tuple[LoginNodeSshd, LoginNodeSshd]:
+        """Both clusters' login-node sshds (Isambard-AI, Isambard 3)."""
+        return (self.login_sshd, self.login_sshd_i3)
+
+    @property
+    def schedulers(self) -> Tuple[SlurmScheduler, SlurmScheduler]:
+        """Both clusters' Slurm schedulers (Isambard-AI, Isambard 3)."""
+        return (self.slurm, self.slurm_i3)
+
     def validator_for(self, audience: str) -> RbacTokenValidator:
-        """Resource-side RBAC validator against the broker's keys."""
-        if self.validator_factory is not None:
-            return self.validator_factory(audience)
+        """Resource-side RBAC validator against the active broker's keys."""
         return RbacTokenValidator(
-            self.clock, self.broker.issuer, audience,
-            self.broker.jwks, self.broker.tokens.is_revoked,
+            self.clock, self.broker.issuer, audience, self.broker.jwks,
+            self._revoked, cache=self.caches.get("token-decisions"),
         )
+
+    def _revoked(self, jti: str) -> bool:
+        tokens = self.broker.tokens
+        # durability mode trusts only journaled facts: unknown jtis (e.g.
+        # minted by a fenced zombie primary) are rejected outright
+        if self.durability is not None:
+            return tokens.is_invalid(jti)
+        return tokens.is_revoked(jti)
+
+    def cert_registered(self, serial: int, key_id: str) -> bool:
+        """Whether the active SSH CA issued ``serial`` to ``key_id`` and
+        has not revoked it (the sshds' issuance-registry check)."""
+        return self.ssh_ca.cert_registered(serial, key_id)
 
     def crash(self, name: str) -> None:
         """Kill a component in place: its endpoint goes down and its
@@ -321,6 +335,14 @@ def _open_fig1_flows(firewall: Firewall) -> None:
     # logs, no MDC->SEC (MDC logs route via SWS), no SEC-> anywhere.
 
 
+def _config(switch, cls):
+    """A subsystem switch as its config: None when off, the default
+    ``cls()`` for ``True``, the caller's config when one was passed."""
+    if not switch:
+        return None
+    return switch if isinstance(switch, cls) else cls()
+
+
 def build_isambard(
     seed: int = 42,
     *,
@@ -353,46 +375,32 @@ def build_isambard(
     ``segmented`` off for the flat-network baseline, shrink
     ``rbac_default_ttl`` for the token-lifetime sweep, vary
     ``bastion_vms`` for the HA study, and ``forward_interval`` for
-    detection-latency studies.
+    detection-latency studies.  ``staleness_window`` bounds Jupyter's
+    degraded-mode acceptance of cached introspection verdicts while the
+    broker is unreachable.  A :class:`FaultInjector` is always attached
+    as ``dri.faults`` — it is inert until the chaos ablation schedules
+    faults on it, and it draws from its own seeded RNG so arming it
+    never perturbs the identity/secret streams.
 
-    ``resilience`` turns the retry/circuit-breaker layer on for every
-    control-plane client (pass a :class:`~repro.resilience.RetryPolicy`
-    to override the default policy); the default ``False`` keeps the
-    historical fail-fast behaviour.  A :class:`FaultInjector` is always
-    attached as ``dri.faults`` — it is inert until the chaos ablation
-    schedules faults on it, and it draws from its own seeded RNG so
-    arming it never perturbs the identity/secret streams.
-    ``staleness_window`` bounds Jupyter's degraded-mode acceptance of
-    cached introspection verdicts while the broker is unreachable.
+    The builder builds the Fig. 1 core, wraps it in the handle, then
+    hands the handle to each opt-in subsystem's ``install``, which
+    documents that switch:
 
-    ``overload`` turns on the overload-protection layer (PR 2): token-
-    bucket admission controllers with priority shedding on the broker,
-    Jupyter, the SSH CA and the edge, plus AIMD pacing on every client
-    kit.  Pass an :class:`~repro.resilience.OverloadConfig` to resize
-    it.  Enabling overload implies a resilience runtime (the clients
-    must honour ``retry_after`` for admission control to work as a
-    backpressure signal rather than a hard failure).
+    * ``telemetry`` (default on) and ``pipeline`` —
+      :func:`repro.telemetry.runtime.install`;
+    * ``resilience``, ``overload`` and ``tail`` —
+      :func:`repro.resilience.retry.install`;
+    * ``durability`` — :func:`repro.resilience.durability.install`;
+    * ``directory`` — :func:`repro.federation.directory.install`;
+    * ``authz`` — :func:`repro.authz.install`;
+    * ``failover`` (implies durability) —
+      :func:`repro.resilience.failover.install`.
 
-    ``durability`` turns on crash-fault tolerance (PR 3): the stateful
-    control-plane services (broker, last-resort IdP, SSH CA, portal),
-    the per-domain audit log stores and the SIEM forwarders commit every
-    mutation to write-ahead journals in a shared
-    :class:`~repro.resilience.DurabilityStore`; ``dri.crash(name)`` /
-    ``dri.restart(name)`` then model pod kills with lossless recovery.
-    Signing keys stay in the store's KMS-modelled vault, never in the
-    journal.  ``failover=True`` (implies durability) additionally parks
-    warm standbys for the broker and the SSH CA under a health-checked
-    :class:`~repro.resilience.FailoverController`; promotion replays the
-    journal, acquires a fresh fencing epoch (deposed primaries can no
-    longer commit) and takes over the primary's endpoint name.
+    Pass a config object (:class:`~repro.resilience.RetryPolicy`,
+    :class:`~repro.resilience.OverloadConfig`, ...) instead of ``True``
+    to size a subsystem.
 
-    ``telemetry`` (default on) attaches a :class:`~repro.telemetry.Telemetry`
-    runtime: distributed tracing over every hop, RED + domain metrics,
-    and burn-rate SLO monitors bridged into the SOC.  It is pure
-    observation — it never advances the clock or touches the seeded
-    id/secret streams — so disabling it changes no simulated number.
-
-    ``scale`` turns on the horizontal scale-out subsystem (PR 5): the
+    ``scale`` turns on the horizontal scale-out subsystem: the
     broker runs as a :class:`~repro.scale.ReplicaPool` of stateless
     workers behind a deterministic :class:`~repro.scale.LoadBalancer`
     that takes over the public ``broker`` endpoint name (the origin
@@ -404,8 +412,8 @@ def build_isambard(
     the revoking call returns.  Pass a :class:`~repro.scale.ScaleConfig`
     to size the pool/TTLs or enable the metric-driven autoscaler.
 
-    ``regions`` turns on the multi-region active-active tier (PR 6,
-    implies scale + durability): each named region runs its own replica
+    ``regions`` turns on the multi-region active-active tier (implies
+    scale + durability): each named region runs its own replica
     pool, journal and invalidation-bus shard behind a latency-aware
     :class:`~repro.region.GeoRouter` on the public ``broker`` endpoint.
     Revocations stay synchronous *in-region* and replicate to peers
@@ -416,100 +424,31 @@ def build_isambard(
     :class:`~repro.region.RegionConfig` to name the regions and set the
     contract.
 
-    ``tail`` turns on the tail-tolerance layer (PR 7, implies
-    resilience): adaptive per-attempt deadlines sized from observed
-    latency quantiles, hedged requests for read-shaped traffic,
-    latency-outlier ejection in every balancer pool (and gray-region
-    detours in the geo-router when ``regions`` is also on), and a
-    per-(client×destination) retry budget that fails storms fast and
-    feeds the SOC's ``retry-storm`` rule.  Pass a
-    :class:`~repro.resilience.TailConfig` to resize the knobs or ablate
-    individual defences.
-
-    ``authz`` turns on continuous authorization (PR 8): every principal
-    and workload gets a canonical SPIFFE-style identity, every live
-    grant (token, SSH cert/session, Zenith tunnel/web session, Jupyter
-    server, Slurm job) is tracked in a
-    :class:`~repro.authz.SessionRegistry`, and one journaled
-    :class:`~repro.authz.RevocationPipeline` fans every revocation —
-    portal off-boarding, SOC kill switch, policy re-evaluation — across
-    all four enforcement surfaces with per-surface retry and bounded
-    time-to-revoke.  A :class:`~repro.authz.ContinuousAuthorizer`
-    re-checks live sessions against the policy engine on a timer and on
-    assurance/threat-score changes; every admission path fails closed
-    when the PDP has been unreachable past the configured staleness
-    bound.  Pass an :class:`~repro.authz.AuthzConfig` to tune the
-    bounds.  With ``durability`` also on, the pipeline's outbox is
-    journaled and ``dri.crash("authz")`` / ``dri.restart("authz")``
-    model a crash mid-revocation that resumes on recovery.
-
-    ``pipeline`` turns on the bounded telemetry pipeline (PR 9): the
-    span store becomes a :class:`~repro.telemetry.BoundedSpanStore`
-    with tail-based retention (error/shed/expired and pinned
-    revocation traces kept at 100%, slowest-k per window, hash-sampled
-    healthy traffic, RED rollups of the rest), every pre-registered
-    metric family gets a cardinality budget that folds runaway label
-    sets into ``__overflow__``, and the provenance ledger
-    (``dri.telemetry.provenance`` — one :class:`~repro.telemetry.
-    DecisionRecord` per admission decision on every enforcement
-    surface, queryable via ``explain``/``explain_trace``) compacts to
-    its own budget without ever losing the record behind a live grant
-    or a refusal.  The SOC serves the ledger and pipeline stats at
-    ``/scoreboard`` and ``/explain``.  Pass a
-    :class:`~repro.telemetry.PipelineConfig` to size the budgets.
-
     The MyAccessID account registry and the eduGAIN metadata aggregate
     always run on the consistent-hash sharded tiers
     (:class:`~repro.federation.directory.ShardedAccountRegistry` /
     :class:`~repro.federation.directory.ShardedMetadataStore`); without
     ``directory`` each is one unjournaled shard that emits no telemetry
-    and no audit events.  ``directory`` turns on the federation
-    directory: it sizes the tiers past one shard for 1M+ users and 10k
-    IdPs and adds a batched
-    :class:`~repro.federation.directory.MetadataIngestor` consuming
-    signed registrar delta feeds (validity windows fail stale-metadata
-    logins closed), telemetry and audit on both tiers, per-shard
-    journals when ``durability`` is on (``dri.crash("dir-acct-03")`` et
-    al.) and the chaos hooks ``faults.shard_down`` and
-    ``faults.metadata_feed_stale``.  Shards rebalance with deterministic
-    key migration on ``add_shard``/``remove_shard``.  Pass a
-    :class:`~repro.federation.directory.DirectoryConfig` to size the
-    tiers.  The runtime handle is ``dri.directory``.
+    and no audit events.
     """
-    region_cfg: Optional[RegionConfig] = None
-    if regions:
-        region_cfg = (regions if isinstance(regions, RegionConfig)
-                      else RegionConfig())
+    region_cfg = _config(regions, RegionConfig)
+    if region_cfg is not None:
         durability = True
-        if not scale:
-            scale = True
+        scale = scale or True
     if failover:
         durability = True
-    tail_cfg: Optional[TailConfig] = None
-    if tail:
-        tail_cfg = tail if isinstance(tail, TailConfig) else TailConfig()
-        if not resilience:
-            # the tail defences live inside the retry layer; without a
-            # runtime there is nothing to attach them to
-            resilience = True
-    authz_cfg: Optional[AuthzConfig] = None
-    if authz:
-        authz_cfg = authz if isinstance(authz, AuthzConfig) else AuthzConfig()
-    directory_cfg: Optional[DirectoryConfig] = None
-    if directory:
-        directory_cfg = (directory if isinstance(directory, DirectoryConfig)
-                         else DirectoryConfig())
-    # assembled late (after durability/failover); declared here so the
-    # portal's revocation closure can route through it once it exists
-    authz_rt: Optional[AuthzRuntime] = None
+    tail_cfg = _config(tail, TailConfig)
+    # the tail defences live inside the retry layer; without a runtime
+    # there is nothing to attach them to
+    policy = _config(resilience or tail_cfg is not None, RetryPolicy)
+    authz_cfg = _config(authz, AuthzConfig)
+    directory_cfg = _config(directory, DirectoryConfig)
+    overload_cfg = _config(overload, OverloadConfig)
+    scale_cfg = _config(scale, ScaleConfig)
+    pipeline_cfg = _config(pipeline, PipelineConfig)
     clock = SimClock(start=0.0)
     ids = IdFactory(seed=seed)
-    pipeline_cfg: Optional[PipelineConfig] = None
-    if pipeline:
-        pipeline_cfg = (pipeline if isinstance(pipeline, PipelineConfig)
-                        else PipelineConfig())
-    tele: Optional[Telemetry] = (
-        Telemetry(clock, pipeline=pipeline_cfg) if telemetry else None)
+    tele = Telemetry(clock, pipeline=pipeline_cfg) if telemetry else None
     logs = {
         domain: AuditLog(domain)
         for domain in ("external", "fds", "sws", "mdc", "sec", "network")
@@ -518,33 +457,7 @@ def build_isambard(
     if tele is not None:
         for log in logs.values():
             tele.watch_audit(log)
-
-    overload_cfg: Optional[OverloadConfig] = None
-    if overload:
-        overload_cfg = (overload if isinstance(overload, OverloadConfig)
-                        else OverloadConfig())
-
-    scale_cfg: Optional[ScaleConfig] = None
-    if scale:
-        scale_cfg = scale if isinstance(scale, ScaleConfig) else ScaleConfig()
-
     faults = FaultInjector(clock, random.Random(seed * 7919 + 13))
-    runtime: Optional[ResilienceRuntime] = None
-    if resilience or overload_cfg is not None:
-        runtime = ResilienceRuntime(
-            clock, random.Random(seed * 104729 + 7),
-            policy=resilience if isinstance(resilience, RetryPolicy) else None,
-            overload=overload_cfg,
-            tail=tail_cfg,
-        )
-
-    if runtime is not None and tele is not None:
-        runtime.breaker_listener = tele.on_breaker_transition
-    if runtime is not None and runtime.tail_controller is not None:
-        # budget refusals audit into FDS (where the SOC's forwarders
-        # already collect) and count into telemetry
-        runtime.tail_controller.audit = logs["fds"]
-        runtime.tail_controller.telemetry = tele
 
     firewall = Firewall(segmented=segmented)
     _open_fig1_flows(firewall)
@@ -557,18 +470,16 @@ def build_isambard(
     # telemetry or audit, so a plain deployment emits no directory
     # series or events.  Bilateral trust anchors registered here get no
     # validity window; feed-ingested entries always do.
-    directory_rt: Optional[FederationDirectory] = None
-    if directory_cfg is not None:
-        tier_cfg, tier_tele, tier_audit = directory_cfg, tele, logs["external"]
-    else:
-        tier_cfg = DirectoryConfig(account_shards=1, metadata_shards=1)
-        tier_tele = tier_audit = None
-    edugain = ShardedMetadataStore(
-        clock, shards=tier_cfg.metadata_shards, vnodes=tier_cfg.vnodes,
-        probe_cost=tier_cfg.probe_cost,
+    tier_cfg = directory_cfg or DirectoryConfig(account_shards=1,
+                                                metadata_shards=1)
+    tier_args = dict(
+        vnodes=tier_cfg.vnodes, probe_cost=tier_cfg.probe_cost,
         migration_batch=tier_cfg.migration_batch,
-        telemetry=tier_tele, audit=tier_audit,
+        telemetry=tele if directory_cfg else None,
+        audit=logs["external"] if directory_cfg else None,
     )
+    edugain = ShardedMetadataStore(
+        clock, shards=tier_cfg.metadata_shards, **tier_args)
     idps: Dict[str, InstitutionalIdP] = {}
     for endpoint, host, federation, display, loa, categories in idp_specs:
         idp = InstitutionalIdP(
@@ -580,42 +491,12 @@ def build_isambard(
         idps[endpoint] = idp
 
     accounts = ShardedAccountRegistry(
-        clock, ids, shards=tier_cfg.account_shards, vnodes=tier_cfg.vnodes,
-        probe_cost=tier_cfg.probe_cost,
-        migration_batch=tier_cfg.migration_batch,
-        telemetry=tier_tele, audit=tier_audit,
-    )
+        clock, ids, shards=tier_cfg.account_shards, **tier_args)
     myaccessid = MyAccessID(
         "myaccessid", clock, ids, edugain, registry=accounts,
         policy=AssurancePolicy(), audit=logs["external"],
     )
     network.attach(myaccessid, OperatingDomain.EXTERNAL, Zone.INTERNET)
-
-    if directory_cfg is not None:
-        ingestor = MetadataIngestor(
-            clock, edugain, audit=logs["external"], telemetry=tele)
-        directory_rt = FederationDirectory(
-            config=directory_cfg, accounts=accounts,
-            metadata=edugain, ingestor=ingestor,
-        )
-
-        def _dir_tier(tier: str):
-            if tier == "accounts":
-                return directory_rt.accounts
-            if tier == "metadata":
-                return directory_rt.metadata
-            raise ConfigurationError(f"no directory tier {tier!r}")
-
-        faults.register_hooks(
-            "shard_down",
-            lambda tier, shard: _dir_tier(tier).shard_down(shard),
-            lambda tier, shard: _dir_tier(tier).shard_up(shard),
-        )
-        faults.register_hooks(
-            "metadata_feed_stale",
-            lambda feed: directory_rt.ingestor.set_feed_down(feed, True),
-            lambda feed: directory_rt.ingestor.set_feed_down(feed, False),
-        )
 
     lastresort = LastResortIdP("idp-lastresort", clock, ids, audit=logs["fds"])
     admin_idp = CloudAdminIdP("idp-admin", clock, ids, audit=logs["fds"])
@@ -641,17 +522,13 @@ def build_isambard(
         )
         broker.add_upstream(upstream_id, label, provider.name, cfg, kind=kind)
 
-    # failover re-points this cell at the promoted standby, so every
-    # validator built here keeps consulting the *active* broker
-    active_broker: List[IdentityBroker] = [broker]
-
     # --- scale-out: invalidation bus + shared caches ---------------------
     # Built before the validators so every resource server shares them.
     # Publication is synchronous and in-order (inside the revoking call),
     # so a cached ALLOW can never outlive a revocation or a key rotation.
     bus: Optional[InvalidationBus] = None
     rbus: Optional[ReplicatedInvalidationBus] = None
-    token_cache = jwks_cache = introspect_cache = cert_cache = None
+    caches: Dict[str, TtlCache] = {}
     if scale_cfg is not None:
         if region_cfg is not None:
             # multi-region: one bus shard per region; local publishes stay
@@ -676,7 +553,7 @@ def build_isambard(
         for provider in (myaccessid, lastresort, admin_idp, *idps.values()):
             provider.invalidation_bus = publisher
         if scale_cfg.caching:
-            token_cache = TtlCache(
+            caches["token-decisions"] = TtlCache(
                 "token-decisions", clock, ttl=scale_cfg.decision_ttl,
                 negative_ttl=scale_cfg.negative_ttl,
                 # only monotone verdicts are negative-cached: a forged or
@@ -686,44 +563,47 @@ def build_isambard(
                                  ClaimMissing, TokenExpired),
                 telemetry=tele,
             )
-            token_cache.bind(bus, "token.revoked", by_tag=True)
-            jwks_cache = TtlCache("jwks", clock, ttl=scale_cfg.jwks_ttl,
-                                  telemetry=tele)
-            jwks_cache.bind(bus, "jwks.rotated", by_tag=False)
-            introspect_cache = TtlCache(
+            caches["token-decisions"].bind(bus, "token.revoked", by_tag=True)
+            caches["jwks"] = TtlCache("jwks", clock, ttl=scale_cfg.jwks_ttl,
+                                      telemetry=tele)
+            caches["jwks"].bind(bus, "jwks.rotated", by_tag=False)
+            caches["introspection"] = TtlCache(
                 "introspection", clock, ttl=scale_cfg.introspection_ttl,
                 telemetry=tele,
             )
-            introspect_cache.bind(bus, "token.revoked", by_tag=True)
-            cert_cache = TtlCache("ssh-certs", clock, ttl=scale_cfg.cert_ttl,
-                                  telemetry=tele)
-            # satellite fix: every RP's JWKS refresh rides the shared
-            # single-flight cache — N concurrent verifications hitting a
-            # key rotation produce exactly one upstream fetch
+            caches["introspection"].bind(bus, "token.revoked", by_tag=True)
+            caches["ssh-certs"] = TtlCache(
+                "ssh-certs", clock, ttl=scale_cfg.cert_ttl, telemetry=tele)
+            # every RP's JWKS refresh rides the shared single-flight
+            # cache — N concurrent verifications hitting a key rotation
+            # produce exactly one upstream fetch
             for upstream in broker._upstreams.values():
-                upstream.rp.jwks_cache = jwks_cache
-
-    def _revocation(jti: str) -> bool:
-        tokens = active_broker[0].tokens
-        # durability mode trusts only journaled facts: unknown jtis (e.g.
-        # minted by a fenced zombie primary) are rejected outright
-        return tokens.is_invalid(jti) if durability else tokens.is_revoked(jti)
+                upstream.rp.jwks_cache = caches["jwks"]
 
     def validator_for(audience: str) -> RbacTokenValidator:
+        # the revocation check reads the handle (built below), so these
+        # validators consult whichever broker failover made active
         return RbacTokenValidator(
-            clock, broker.issuer, audience, broker.jwks, _revocation,
-            cache=token_cache,
+            clock, broker.issuer, audience, broker.jwks,
+            lambda jti: dri._revoked(jti),
+            cache=caches.get("token-decisions"),
         )
+
+    def _revoke_everywhere(uid: str, project: str, account: str) -> None:
+        # the portal's off-boarding fan-out (authz swaps in its pipeline)
+        dri.broker.revoke_user_access(uid, project)
+        if account:
+            for sshd, sched in zip(dri.login_nodes, dri.schedulers):
+                sshd.close_sessions_for(account)
+                sched.cancel_account(account, by="portal-revocation")
+        dri.jupyter.close_sessions_for(uid)
 
     # cluster objects exist before the portal's revocation hook references them
     pool = NodePool("gh", "grace-hopper", ai_nodes, gpus_per_node=4)
-    login_sshd: LoginNodeSshd  # defined below; hook closes over names
 
     portal = UserPortal(
         "portal", clock, ids, validator_for("portal"), audit=logs["fds"],
-        on_revoke=lambda uid, project, account: _revoke_everywhere(
-            uid, project, account
-        ),
+        on_revoke=_revoke_everywhere,
     )
     network.attach(portal, OperatingDomain.FDS, Zone.ACCESS)
 
@@ -743,7 +623,7 @@ def build_isambard(
     )
     zenith.configure_rp(zenith_cfg)
     if scale_cfg is not None and zenith._rp is not None:
-        zenith._rp.jwks_cache = jwks_cache
+        zenith._rp.jwks_cache = caches.get("jwks")
 
     edge = CloudflareEdge("edge", clock, audit=logs["external"])
     network.attach(edge, OperatingDomain.EXTERNAL, Zone.INTERNET)
@@ -765,19 +645,7 @@ def build_isambard(
 
     # dynamic policy (tenet 4): posture rules enforced at the management
     # plane on top of token validation
-    policy_engine = PolicyEngine()
-    if authz_cfg is not None:
-        # the continuous-authorization assurance floor must precede the
-        # pack's capability allow or it would never fire: a live session
-        # whose identity's LoA stepped below the floor is denied on
-        # re-evaluation and handed to the revocation pipeline
-        policy_engine.deny(
-            "assurance-below-floor",
-            lambda c, floor=authz_cfg.min_loa: (
-                bool(c.attrs.get("continuous")) and c.loa < floor),
-            reason="identity assurance below the continuous-session floor",
-        )
-    policy_engine = standard_zero_trust_rules(policy_engine)
+    policy_engine = standard_zero_trust_rules(PolicyEngine())
 
     # ------------------------------------------------------------------ MDC
     def account_exists(username: str) -> bool:
@@ -796,29 +664,27 @@ def build_isambard(
     # and revocation is caught by the introspection round-trip (§IV.A.6)
     jupyter_validator = RbacTokenValidator(
         clock, broker.issuer, "jupyter", broker.jwks, lambda jti: False,
-        cache=token_cache,
+        cache=caches.get("token-decisions"),
     )
     jupyter = JupyterService(
         "jupyter", clock, ids, jupyter_validator, pool,
         audit=logs["mdc"], broker_endpoint="broker",
         staleness_window=staleness_window,
     )
-    if scale_cfg is not None:
+    if region_cfg is None:
         # In region mode the MDC-side cache would break the staleness
         # contract: it is bound to the *home* bus shard, so a revocation
         # published from another region would only evict it after
         # replication — or never, across a partition.  Introspections
         # round-trip to the geo-router instead and the per-region caches
         # (TTL clamped to the bound) absorb the load.
-        if region_cfg is None:
-            jupyter.introspection_cache = introspect_cache
-        login_sshd.cert_cache = cert_cache
+        jupyter.introspection_cache = caches.get("introspection")
     network.attach(jupyter, OperatingDomain.MDC, Zone.HPC)
 
     zenith_client = ZenithClient("zenith-client", "jupyter")
     network.attach(zenith_client, OperatingDomain.MDC, Zone.HPC)
     # re-enrollment after a drop mints a fresh service token each time
-    zenith_client.token_source = lambda: active_broker[0].tokens.mint(
+    zenith_client.token_source = lambda: dri.broker.tokens.mint(
         "mdc-zenith-client", "zenith", Role.SERVICE, ttl=300
     )[0]
 
@@ -854,8 +720,8 @@ def build_isambard(
     login_sshd_i3.install_host_certificate(
         ssh_ca.provision_host_certificate(
             "login-node-i3", login_sshd_i3.host_keypair.public_jwk()))
-    if scale_cfg is not None:
-        login_sshd_i3.cert_cache = cert_cache
+    for sshd in (login_sshd, login_sshd_i3):
+        sshd.cert_cache = caches.get("ssh-certs")
     network.attach(login_sshd_i3, OperatingDomain.MDC, Zone.HPC)
     mgmt_node_i3 = ManagementNode(
         "mgmt-node-i3", clock, validator_for("mgmt-node-i3"), pool_i3,
@@ -901,7 +767,7 @@ def build_isambard(
         )
 
     def _soc_sink(records):
-        token, _ = active_broker[0].tokens.mint(
+        token, _ = dri.broker.tokens.mint(
             "log-shipper", "soc", Role.SERVICE, ttl=120, audit_issue=False
         )
         from repro.net.http import HttpRequest
@@ -939,17 +805,22 @@ def build_isambard(
         spire, "spiffe://isambard.example/sws/log-shipper"
     )
 
-    # kill-switch levers: one principal, severed everywhere
+    # kill-switch levers: one principal, severed everywhere (each
+    # cluster's sessions, then its notebooks, then its jobs)
     killswitch.register_user_action("bastion-flag", bastion.flag_principal)
     killswitch.register_user_action(
-        "broker-revoke", lambda p: active_broker[0].revoke_user_access(p, None)
+        "broker-revoke", lambda p: dri.broker.revoke_user_access(p, None)
     )
-    killswitch.register_user_action("ssh-sessions", login_sshd.close_sessions_for)
-    killswitch.register_user_action("jupyter-sessions", jupyter.close_sessions_for)
-    killswitch.register_user_action("slurm-jobs", slurm.cancel_account)
-    killswitch.register_user_action(
-        "ssh-sessions-i3", login_sshd_i3.close_sessions_for)
-    killswitch.register_user_action("slurm-jobs-i3", slurm_i3.cancel_account)
+    for suffix, sshd, notebooks, sched in (
+            ("", login_sshd, jupyter, slurm),
+            ("-i3", login_sshd_i3, None, slurm_i3)):
+        killswitch.register_user_action(
+            f"ssh-sessions{suffix}", sshd.close_sessions_for)
+        if notebooks is not None:
+            killswitch.register_user_action(
+                "jupyter-sessions", notebooks.close_sessions_for)
+        killswitch.register_user_action(
+            f"slurm-jobs{suffix}", sched.cancel_account)
     killswitch.register_stop_action(
         "bastion", bastion.kill_service, bastion.restore_service
     )
@@ -973,57 +844,33 @@ def build_isambard(
     # configuration assessment (SOC task 3)
     _register_config_checks(soc, network, bastion, admin_idp, broker, filesystem)
 
-    # --- telemetry: SOC-side trace correlation + SLO pages ---------------
+    # ----------------------------------------------- the Fig. 1 core's handle
+    dri = IsambardDeployment(
+        clock=clock, ids=ids, network=network, logs=logs, audit=audit,
+        edugain=edugain, idps=idps, myaccessid=myaccessid,
+        lastresort=lastresort, admin_idp=admin_idp,
+        broker=broker, portal=portal, ssh_ca=ssh_ca, zenith=zenith, edge=edge,
+        bastion=bastion, tailnet=tailnet,
+        pool=pool, login_sshd=login_sshd, jupyter=jupyter,
+        zenith_client=zenith_client, mgmt_node=mgmt_node, slurm=slurm,
+        filesystem=filesystem,
+        pool_i3=pool_i3, login_sshd_i3=login_sshd_i3,
+        mgmt_node_i3=mgmt_node_i3, slurm_i3=slurm_i3,
+        soc=soc, killswitch=killswitch, forwarders=forwarders,
+        policy_engine=policy_engine, dcim=dcim, spire=spire, faults=faults,
+        telemetry=tele, pipeline_config=pipeline_cfg,
+        overload=overload_cfg, tail=tail_cfg, scale=scale_cfg,
+        invalidation_bus=bus, caches=caches,
+        region_config=region_cfg, region_bus=rbus,
+    )
+
+    # ------------------------------------------------- opt-in subsystems
     if tele is not None:
-        # an audit record whose trace id the span store never saw is a
-        # forged/replayed log entry — runs inside the standard rule pack
-        soc.rules.append(TraceIntegrityRule(tele.store))
-        # decision provenance: the SOC reads the ledger for the
-        # scoreboard/explain views and cross-checks every shipped
-        # decision against it (a decision without provenance is the
-        # ledger-side sibling of an unknown trace id)
-        soc.attach_provenance(tele.provenance, tele.store)
-        soc.rules.append(UnexplainedDecisionRule(tele.provenance))
-        # decisions recorded before the authz layer attaches its richer
-        # enricher still carry the policy pack version they ran under
-        tele.provenance.enricher = (
-            lambda subject: {"pack_version": policy_engine.pack_version})
-        # availability SLOs over the hops the RSECon story stresses
-        tele.slo("broker-availability", service="broker")
-        tele.slo("jupyter-availability", service="jupyter")
-
-        def _page_soc(alert) -> None:
-            # actor is deliberately empty: an SLO page is not attributable
-            # to a principal and must never trigger auto-containment
-            soc.raise_alert(Alert(
-                time=alert.time, rule=f"slo-burn-{alert.slo}",
-                severity="high", actor="", summary=alert.summary(),
-                evidence_count=alert.events_in_slow_window,
-            ))
-
-        tele.on_slo_alert(_page_soc)
-
-    # --- resilience kits: per-client retry/backoff + circuit breakers ----
-    if runtime is not None:
-        for svc in (broker, portal, zenith, edge, jupyter, zenith_client,
-                    shipper, bastion, tailnet, soc):
-            svc.resilience = runtime.for_client(svc.name)
-
-    # --- overload protection: admission controllers on the hot services --
-    if overload_cfg is not None:
-        broker.admission = AdmissionController(
-            "broker", clock, overload_cfg.broker)
-        jupyter.admission = AdmissionController(
-            "jupyter", clock, overload_cfg.jupyter)
-        ssh_ca.admission = AdmissionController(
-            "ssh-ca", clock, overload_cfg.ssh_ca)
-        edge.admission = AdmissionController(
-            "edge", clock, overload_cfg.edge)
+        install_telemetry(dri)
+    if policy is not None or overload_cfg is not None:
+        install_resilience(dri, policy, random.Random(seed * 104729 + 7))
 
     # --- scale-out: broker replica pool behind the load balancer ---------
-    broker_pool: Optional[ReplicaPool] = None
-    broker_lb: Optional[LoadBalancer] = None
-    autoscaler: Optional[Autoscaler] = None
     lb_policy_factory = None
     admission_factory = None
     if scale_cfg is not None:
@@ -1053,132 +900,56 @@ def build_isambard(
         network.detach("broker")
         network.attach(broker, OperatingDomain.FDS, Zone.ACCESS,
                        name="broker-origin")
+    breaker_listener = tele.on_breaker_transition if tele is not None else None
     if scale_cfg is not None and region_cfg is None:
-        broker_pool = ReplicaPool(
+        broker_pool = dri.broker_pool = ReplicaPool(
             "broker", network, OperatingDomain.FDS, Zone.ACCESS, broker,
             min_replicas=scale_cfg.min_replicas,
             max_replicas=scale_cfg.max_replicas,
             admission_factory=admission_factory,
         )
         broker_pool.scale_to(scale_cfg.broker_replicas)
-        broker_lb = LoadBalancer(
+        dri.broker_lb = LoadBalancer(
             "broker", clock, broker_pool, policy=lb_policy_factory(),
-            audit=logs["fds"],
-            breaker_listener=(tele.on_breaker_transition
-                              if tele is not None else None),
+            audit=logs["fds"], breaker_listener=breaker_listener,
             tail=tail_cfg, telemetry=tele,
         )
-        network.attach(broker_lb, OperatingDomain.FDS, Zone.ACCESS,
+        network.attach(dri.broker_lb, OperatingDomain.FDS, Zone.ACCESS,
                        name="broker")
-        edge.register_origin("broker", broker_lb)
+        edge.register_origin("broker", dri.broker_lb)
         if scale_cfg.autoscale and tele is not None:
-            autoscaler = Autoscaler(
+            dri.autoscaler = Autoscaler(
                 clock, broker_pool, tele,
                 interval=scale_cfg.autoscale_interval,
                 watch_services=("broker",),
                 audit=logs["fds"],
             )
-            autoscaler.start()
+            dri.autoscaler.start()
 
-    # --- the revocation fan-out the portal hook calls --------------------
-    def _revoke_everywhere(uid: str, project: str, account: str) -> None:
-        if authz_rt is not None:
-            # continuous authorization routes the teardown through the
-            # journaled pipeline: one intent, four surfaces, crash-safe
-            authz_rt.pipeline.revoke(
-                uid=uid, project=project, reason="portal-revocation",
-                by="portal")
-            return
-        active_broker[0].revoke_user_access(uid, project)
-        if account:
-            login_sshd.close_sessions_for(account)
-            slurm.cancel_account(account, by="portal-revocation")
-            login_sshd_i3.close_sessions_for(account)
-            slurm_i3.cancel_account(account, by="portal-revocation")
-        jupyter.close_sessions_for(uid)
-
-    # --- crash-fault tolerance: WAL journals, vault, warm standbys -------
-    # journals attach *after* construction so every build-time registration
-    # (clients, upstreams, host certificates) lands in the baseline snapshot
-    active_ca: List[SshCertificateAuthority] = [ssh_ca]
-    store: Optional[DurabilityStore] = None
-    broker_standby: Optional[IdentityBroker] = None
-    ca_standby: Optional[SshCertificateAuthority] = None
     if durability:
-        store = DurabilityStore(clock)
-        store.telemetry = tele
-        for domain, log in logs.items():
-            log.attach_journal(store.stream(f"audit-{domain}"))
-        broker.attach_journal(store.stream("broker"))
-        lastresort.attach_journal(store.stream("idp-lastresort"))
-        ssh_ca.attach_journal(store.stream("ssh-ca"))
-        portal.attach_journal(store.stream("portal"))
-        if directory_rt is not None:
-            # each directory shard journals independently — a single
-            # shard crash replays only its own partition, and shards
-            # added later (rebalancing) get streams via journal_factory
-            for tier_obj in (directory_rt.accounts, directory_rt.metadata):
-                for sname in sorted(tier_obj.shards):
-                    tier_obj.shards[sname].attach_journal(
-                        store.stream(f"dir-{sname}"))
-                tier_obj.journal_factory = (
-                    lambda n, _s=store: _s.stream(f"dir-{n}"))
-        for fw in forwarders:
-            fw.attach_journal(store.stream(fw.name))
-
-        # sshds consult the CA's journaled issuance registry: a serial a
-        # fenced ex-primary signed after deposition was never registered
-        def _cert_registered(serial: int, key_id: str) -> bool:
-            return active_ca[0].cert_registered(serial, key_id)
-
-        login_sshd.cert_registry = _cert_registered
-        login_sshd_i3.cert_registry = _cert_registered
+        install_durability(dri)
+    if directory_cfg is not None:
+        install_directory(dri, directory_cfg)
+    if authz_cfg is not None:
+        install_authz(dri, authz_cfg)
     if failover:
-        # warm standbys carry the same *service* name (they become that
-        # service on promotion) parked under their own endpoint names;
-        # adopt_journal keeps them fenced (epoch 0) until promoted
-        broker_standby = IdentityBroker(
-            "broker", clock, ids, audit=logs["fds"],
-            rbac_default_ttl=rbac_default_ttl, rbac_max_ttl=rbac_max_ttl,
-        )
-        broker_standby.ssh_cert_ttl = ssh_cert_ttl
-        for u in broker._upstreams.values():
-            broker_standby.add_upstream(
-                u.upstream_id, u.label, u.endpoint, u.rp.client, kind=u.kind)
-        broker_standby.adopt_journal(store.stream("broker"))
-        if scale_cfg is not None:
-            # a promoted standby must keep publishing invalidations, or
-            # the caches would go quietly stale after a failover
-            broker_standby.tokens.bus = publisher
-            broker_standby.invalidation_bus = publisher
-        network.attach(broker_standby, OperatingDomain.FDS, Zone.ACCESS,
-                       name="broker-standby")
-        ca_standby = SshCertificateAuthority(
-            "ssh-ca", clock, validator_for("ssh-ca"), audit=logs["fds"],
-            cert_ttl=ssh_cert_ttl,
-        )
-        ca_standby.adopt_journal(store.stream("ssh-ca"))
-        network.attach(ca_standby, OperatingDomain.FDS, Zone.ACCESS,
-                       name="ssh-ca-standby")
+        install_failover(dri)
 
     # --- multi-region tier: regions, directory, geo-router ---------------
-    region_dir: Optional[RegionDirectory] = None
-    geo_router: Optional[GeoRouter] = None
-    region_autoscalers: List[Autoscaler] = []
     if region_cfg is not None:
-        region_dir = RegionDirectory(
+        region_dir = dri.region_directory = RegionDirectory(
             clock, rbus,
             heartbeat_interval=region_cfg.heartbeat_interval,
             lag_check_interval=region_cfg.lag_check_interval,
             audit=logs["fds"], telemetry=tele,
             # recovering regions resync their revocation view from the
             # *active* broker's authoritative token store
-            revoked_source=lambda: active_broker[0].tokens.revoked_jtis(),
+            revoked_source=lambda: dri.broker.tokens.revoked_jtis(),
         )
         for rname in region_cfg.names:
             region = Region(
                 rname, clock, network, OperatingDomain.FDS, Zone.ACCESS,
-                broker, rbus, store.stream(f"region-{rname}"),
+                broker, rbus, dri.durability.stream(f"region-{rname}"),
                 replicas=region_cfg.replicas_per_region,
                 min_replicas=scale_cfg.min_replicas,
                 max_replicas=scale_cfg.max_replicas,
@@ -1187,8 +958,7 @@ def build_isambard(
                 admission_factory=admission_factory,
                 lb_policy=lb_policy_factory(),
                 telemetry=tele, audit=logs["fds"],
-                breaker_listener=(tele.on_breaker_transition
-                                  if tele is not None else None),
+                breaker_listener=breaker_listener,
                 tail=tail_cfg,
             )
             region_dir.add(region)
@@ -1201,17 +971,20 @@ def build_isambard(
                     audit_source=f"autoscaler-{rname}",
                 )
                 ras.start()
-                region_autoscalers.append(ras)
-        geo_router = GeoRouter(
+                dri.region_autoscalers.append(ras)
+        if caches:
+            caches.update({f"introspection-{r.name}": r.introspection_cache
+                           for r in region_dir.regions()})
+        dri.geo_router = GeoRouter(
             "broker", clock, region_dir,
             inter_region_latency=region_cfg.inter_region_latency,
             pins=dict(region_cfg.client_regions),
             audit=logs["fds"], telemetry=tele,
             tail=tail_cfg,
         )
-        network.attach(geo_router, OperatingDomain.FDS, Zone.ACCESS,
+        network.attach(dri.geo_router, OperatingDomain.FDS, Zone.ACCESS,
                        name="broker")
-        edge.register_origin("broker", geo_router)
+        edge.register_origin("broker", dri.geo_router)
         region_dir.register_fault_hooks(faults)
         region_dir.start()
         # cached serves inside the advertised window are the contract,
@@ -1221,307 +994,53 @@ def build_isambard(
             if isinstance(rule, CacheStalenessRule):
                 rule.tolerance = region_cfg.staleness_bound
 
-    # --- continuous authorization: identity, registry, pipeline, loop ----
-    if authz_cfg is not None:
-        graph = IdentityGraph(authz_cfg.trust_domain, authority=spire)
-        if directory_rt is not None:
-            # interactive registrations mint canonical SPIFFE principals;
-            # bulk onboarding batches stay out of the graph by design
-            directory_rt.accounts.graph = graph
-        session_registry = SessionRegistry(clock, graph=graph)
-        pdp = PolicyDecisionPoint(
-            clock, policy_engine,
-            provenance=tele.provenance if tele is not None else None,
-        )
-        guard = AuthzGuard(
-            clock, pdp, staleness_bound=authz_cfg.staleness_bound,
-            audit=logs["fds"], telemetry=tele,
-        )
-        pipeline = RevocationPipeline(
-            clock, registry=session_registry, audit=logs["sec"],
-            telemetry=tele, retry_interval=authz_cfg.retry_interval,
-        )
-        authorizer = ContinuousAuthorizer(
-            clock, registry=session_registry, pipeline=pipeline, pdp=pdp,
-            guard=guard, audit=logs["sec"], config=authz_cfg,
-        )
-
-        if tele is not None:
-            # provenance enricher: fields the audit bridge cannot see at
-            # the emitting surface — assurance tier, SOC threat score,
-            # PDP heartbeat age, policy pack version — resolved at
-            # record time from the continuous-authorization state
-            def _enrich_decision(subject: str) -> Dict[str, object]:
-                return {
-                    "pack_version": policy_engine.pack_version,
-                    "loa": authorizer._loa.get(subject,
-                                               authz_cfg.min_loa),
-                    "threat_score": authorizer._risk.get(subject, 0.0),
-                    "pdp_staleness": round(guard.age(), 6),
-                }
-
-            tele.provenance.enricher = _enrich_decision
-
-        def _authz_accounts(uid: str) -> List[str]:
-            accounts = graph.accounts_of(uid)
-            return accounts if accounts else [uid]
-
-        # the four enforcement fans, in SURFACES order (tokens first so
-        # a revoked principal cannot re-mint while later fans run)
-        def _teardown_tokens(intent) -> int:
-            # whole-user: a pipeline teardown severs the principal, not
-            # one project — intent.project stays as audit metadata only
-            summary = active_broker[0].revoke_user_access(intent.uid, None)
-            return sum(int(v) for v in summary.values())
-
-        def _teardown_ssh(intent) -> int:
-            n = active_ca[0].revoke_certificates_for(intent.uid)
-            for acct in _authz_accounts(intent.uid):
-                n += login_sshd.close_sessions_for(acct)
-                n += login_sshd_i3.close_sessions_for(acct)
-            return n
-
-        def _teardown_tunnels(intent) -> int:
-            return (zenith.revoke_web_sessions_for(intent.uid)
-                    + zenith.kill_tunnels_registered_by(intent.uid))
-
-        def _teardown_compute(intent) -> int:
-            n = jupyter.close_sessions_for(intent.uid)
-            for acct in _authz_accounts(intent.uid):
-                n += slurm.cancel_account(acct, by="revocation-pipeline")
-                n += slurm_i3.cancel_account(acct, by="revocation-pipeline")
-            return n
-
-        pipeline.register_point("tokens", _teardown_tokens)
-        pipeline.register_point("ssh", _teardown_ssh)
-        pipeline.register_point("tunnels", _teardown_tunnels)
-        pipeline.register_point("compute", _teardown_compute)
-
-        # every admission path tracks its grant and fails closed when
-        # the PDP is unreachable past the staleness bound
-        broker.tokens.session_registry = session_registry
-        broker.tokens.authz_guard = guard
-        ssh_ca.session_registry = session_registry
-        login_sshd.session_registry = session_registry
-        login_sshd.authz_guard = guard
-        zenith.session_registry = session_registry
-        zenith.authz_guard = guard
-        jupyter.session_registry = session_registry
-        jupyter.authz_guard = guard
-        slurm.session_registry = session_registry
-        slurm.authz_guard = guard
-        login_sshd_i3.session_registry = session_registry
-        login_sshd_i3.authz_guard = guard
-        slurm_i3.session_registry = session_registry
-        slurm_i3.authz_guard = guard
-        if broker_standby is not None:
-            broker_standby.tokens.session_registry = session_registry
-            broker_standby.tokens.authz_guard = guard
-        if ca_standby is not None:
-            ca_standby.session_registry = session_registry
-
-        # portal: principals get canonical ids at onboarding, and its
-        # recovery resync re-drives any teardown a crash interrupted
-        portal.session_registry = session_registry
-        portal.authz_resync = (
-            lambda uid, project, account: pipeline.revoke(
-                uid=uid, project=project,
-                reason="portal-recovery-resync", by="portal-recovery"))
-
-        # without durability the sshds have no issuance registry wired;
-        # the CA-side revocation set must still bite on live certs
-        def _authz_cert_registered(serial: int, key_id: str) -> bool:
-            return active_ca[0].cert_registered(serial, key_id)
-
-        if login_sshd.cert_registry is None:
-            login_sshd.cert_registry = _authz_cert_registered
-        if login_sshd_i3.cert_registry is None:
-            login_sshd_i3.cert_registry = _authz_cert_registered
-
-        # kill switch delegates to the pipeline; SOC alerts feed the
-        # threat score the containment policy rule denies on
-        killswitch.pipeline = pipeline
-        killswitch.on_contain = authorizer.note_containment
-        soc.escalate = authorizer.on_alert
-
-        # chaos: pdp_down / teardown_stuck / revocation_storm faults
-        def _pdp_restore() -> None:
-            pdp.restore()
-            guard.heartbeat()
-            pipeline.drive_pending()
-            authorizer.reevaluate_all()
-
-        faults.register_hooks("pdp_down", pdp.down, _pdp_restore)
-        faults.register_hooks("teardown_stuck", pipeline.stick, pipeline.unstick)
-        faults.register_hooks("revocation_storm", pipeline.inject_storm)
-
-        if store is not None:
-            # the outbox is the durable piece: journal it so a crash
-            # between intent publish and enforcement resumes on recover
-            pipeline.attach_journal(store.stream("authz-pipeline"))
-        authorizer.start()
-        authz_rt = AuthzRuntime(
-            config=authz_cfg, graph=graph, registry=session_registry,
-            pipeline=pipeline, pdp=pdp, guard=guard, authorizer=authorizer,
-        )
-
     # --- crash/restart hooks (chaos `crash` faults + dri.crash/restart) --
-    def _crash_target(name: str, get, set_up, fleet=lambda up: None) -> None:
-        # crash: take the target down and wipe it (then the fleet it
-        # fronts); restart: replay its journal when it has one, bring it
-        # back up (then the fleet)
-        def crash_fn() -> None:
-            set_up(False)
-            get().wipe_state()
-            fleet(False)
-
-        def restart_fn():
-            target = get()
-            report = (target.recover()
-                      if getattr(target, "journal", None) is not None
-                      else None)
-            set_up(True)
-            fleet(True)
-            return report
-
-        faults.register_hooks("crash", crash_fn, restart_fn, target=name)
-
     # the broker is its origin endpoint plus, when scaled out, the fleet
     # in front of it
-    broker_ep, broker_fleet = "broker", lambda up: None
-    if region_dir is not None:
+    broker_ep, broker_fleet = "broker", None
+    if dri.region_directory is not None:
         # region mode: "crashing the broker" kills the shared state
         # backend and takes every region down with it (total outage);
         # the geo-router keeps answering so callers see unavailability.
         # For single-region loss use faults.region_down() instead.
         def _broker_regions(up: bool) -> None:
-            for region in region_dir.regions():
+            for region in dri.region_directory.regions():
                 if up:
-                    region_dir.region_up(region.name)
+                    dri.region_directory.region_up(region.name)
                 else:
-                    region_dir.region_down(region.name)
+                    dri.region_directory.region_down(region.name)
 
         broker_ep, broker_fleet = "broker-origin", _broker_regions
-    elif broker_pool is not None:
+    elif dri.broker_pool is not None:
         # in scale mode "crashing the broker" kills the shared state
         # backend and takes the whole pod fleet down with it; the LB
         # keeps answering (and exhausting) so callers see unavailability,
         # not a vanished endpoint
         def _broker_pods(up: bool) -> None:
-            for replica in broker_pool.replicas():
+            for replica in dri.broker_pool.replicas():
                 network.endpoint(replica).up = up
 
         broker_ep, broker_fleet = "broker-origin", _broker_pods
-    for name, ep_name, *fleet in (("portal", "portal"), ("ssh-ca", "ssh-ca"),
-                                  ("idp-lastresort", "idp-lastresort"),
-                                  ("broker", broker_ep, broker_fleet)):
+    for name, ep_name, fleet in (("portal", "portal", None),
+                                 ("ssh-ca", "ssh-ca", None),
+                                 ("idp-lastresort", "idp-lastresort", None),
+                                 ("broker", broker_ep, broker_fleet)):
         # resolved per call: a promoted standby takes over the endpoint
-        _crash_target(
+        faults.register_crash_target(
             name, lambda ep_name=ep_name: network.endpoint(ep_name).service,
             lambda up, ep_name=ep_name: setattr(
                 network.endpoint(ep_name), "up", up),
-            *fleet)
+            fleet)
     for domain, log in logs.items():
         # a downed log's emitters fire into the void (counted)
-        _crash_target(f"audit-{domain}", lambda log=log: log,
-                      lambda up, log=log: setattr(log, "down", not up))
+        faults.register_crash_target(
+            f"audit-{domain}", lambda log=log: log,
+            lambda up, log=log: setattr(log, "down", not up))
     for fw in forwarders:
-        _crash_target(fw.name, lambda fw=fw: fw,
-                      lambda up, fw=fw: fw.start() if up else fw.stop())
-    if authz_rt is not None and store is not None:
-        # crash mid-revocation: the outbox journal replays the intents
-        # and verify_recovery re-drives everything still pending
-        _crash_target("authz", lambda: authz_rt.pipeline, lambda up: None)
-    if directory_rt is not None:
-        for tier_obj in (directory_rt.accounts, directory_rt.metadata):
-            for sname in sorted(tier_obj.shards):
-                shard = tier_obj.shards[sname]
-                _crash_target(f"dir-{sname}", lambda shard=shard: shard,
-                              lambda up, shard=shard: setattr(shard, "up", up))
+        faults.register_crash_target(
+            fw.name, lambda fw=fw: fw,
+            lambda up, fw=fw: fw.start() if up else fw.stop())
 
-    dri = IsambardDeployment(
-        clock=clock, ids=ids, network=network, logs=logs, audit=audit,
-        edugain=edugain, idps=idps, myaccessid=myaccessid,
-        lastresort=lastresort, admin_idp=admin_idp,
-        broker=broker, portal=portal, ssh_ca=ssh_ca, zenith=zenith, edge=edge,
-        bastion=bastion, tailnet=tailnet,
-        pool=pool, login_sshd=login_sshd, jupyter=jupyter,
-        zenith_client=zenith_client, mgmt_node=mgmt_node, slurm=slurm,
-        filesystem=filesystem,
-        soc=soc, killswitch=killswitch, forwarders=forwarders,
-        policy_engine=policy_engine,
-        pool_i3=pool_i3, login_sshd_i3=login_sshd_i3,
-        mgmt_node_i3=mgmt_node_i3, slurm_i3=slurm_i3,
-        dcim=dcim, spire=spire,
-        faults=faults, resilience=runtime, overload=overload_cfg,
-        durability=store,
-        validator_factory=validator_for, telemetry=tele,
-        pipeline_config=pipeline_cfg,
-        scale=scale_cfg, broker_pool=broker_pool, broker_lb=broker_lb,
-        invalidation_bus=bus, autoscaler=autoscaler,
-        region_config=region_cfg, region_directory=region_dir,
-        geo_router=geo_router, region_bus=rbus,
-        region_autoscalers=region_autoscalers,
-        tail=tail_cfg,
-        authz=authz_rt,
-        directory=directory_rt,
-        caches=({} if token_cache is None else {
-            "token-decisions": token_cache, "jwks": jwks_cache,
-            "introspection": introspect_cache, "ssh-certs": cert_cache,
-            **({f"introspection-{r.name}": r.introspection_cache
-                for r in region_dir.regions()} if region_dir else {}),
-        }),
-    )
-    if failover:
-        failover_ctl = FailoverController(clock, network, audit=logs["sec"])
-        failover_ctl.telemetry = tele
-
-        def _promote_broker(standby) -> None:
-            active_broker[0] = standby
-            dri.broker = standby
-            if region_dir is not None:
-                # every region's worker fleet re-points at the promoted
-                # state backend, and regions downed by the backend crash
-                # come back serving — under *fresh* region epochs (the
-                # crash fenced the old generation), with caches cleared
-                # and revocation views resynced from the promoted store
-                for region in region_dir.regions():
-                    region.pool.origin = standby
-                    for replica in region.pool.replicas():
-                        region.pool.worker(replica).origin = standby
-                    if region.state == DOWN:
-                        region_dir.region_up(region.name)
-            elif broker_pool is not None:
-                # the LB keeps the public endpoint; the worker fleet just
-                # re-points at the promoted state backend (fencing still
-                # holds: the deposed origin can no longer commit).  The
-                # pods themselves never died — they went dark because the
-                # backend did — so they resume serving immediately
-                broker_pool.origin = standby
-                for replica in broker_pool.replicas():
-                    broker_pool.worker(replica).origin = standby
-                    if network.has_endpoint(replica):
-                        network.endpoint(replica).up = True
-            else:
-                edge.register_origin("broker", standby)
-
-        def _promote_ca(standby) -> None:
-            active_ca[0] = standby
-            dri.ssh_ca = standby
-
-        failover_ctl.register(
-            "broker-origin"
-            if (broker_pool is not None or region_dir is not None)
-            else "broker",
-            broker, broker_standby, standby_name="broker-standby",
-            domain=OperatingDomain.FDS, zone=Zone.ACCESS,
-            on_promote=_promote_broker)
-        failover_ctl.register(
-            "ssh-ca", ssh_ca, ca_standby, standby_name="ssh-ca-standby",
-            domain=OperatingDomain.FDS, zone=Zone.ACCESS,
-            on_promote=_promote_ca)
-        failover_ctl.start()
-        dri.failover = failover_ctl
     dri.refresh_tunnels()
 
     from repro.core.workflows import Workflows

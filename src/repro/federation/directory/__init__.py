@@ -18,8 +18,9 @@ provides:
   federation registrars and the batched :class:`MetadataIngestor`.
 
 Every ``build_isambard`` deployment builds the two tiers (one shard
-each by default); ``build_isambard(directory=True)`` sizes them, adds
-the ingestor and exposes all three as the :class:`FederationDirectory`
+each by default); ``build_isambard(directory=True)`` sizes them and
+:func:`install` adds the ingestor, the chaos hooks and the per-shard
+journals, exposing all three as the :class:`FederationDirectory`
 runtime handle.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ConfigurationError
 from repro.federation.directory.ingest import (
     FEED_VALIDITY,
     FeedDelta,
@@ -85,3 +87,59 @@ class FederationDirectory:
             "metadata": self.metadata.stats(),
             "ingest": self.ingestor.stats(),
         }
+
+
+def install(dri, config: DirectoryConfig) -> FederationDirectory:
+    """Run the deployment's two tiers as the federation directory.
+
+    Turned on by ``build_isambard(directory=...)``, which also sizes the
+    tiers the builder constructs (past one shard, for 1M+ users and 10k
+    IdPs) and gives them telemetry and audit.  This adds a batched
+    :class:`MetadataIngestor` consuming signed registrar delta feeds
+    (validity windows fail stale-metadata logins closed), the chaos
+    hooks ``faults.shard_down`` and ``faults.metadata_feed_stale``,
+    per-shard journals when ``durability`` is on, and a crash target
+    per shard (``dri.crash("dir-acct-03")`` et al.).  Shards rebalance
+    with deterministic key migration on ``add_shard``/``remove_shard``.
+    The runtime handle is ``dri.directory``.
+    """
+    directory = FederationDirectory(
+        config=config, accounts=dri.myaccessid.registry, metadata=dri.edugain,
+        ingestor=MetadataIngestor(dri.clock, dri.edugain,
+                                  audit=dri.logs["external"],
+                                  telemetry=dri.telemetry),
+    )
+    tiers = {"accounts": directory.accounts, "metadata": directory.metadata}
+
+    def _tier(name: str) -> ShardedTier:
+        if name not in tiers:
+            raise ConfigurationError(f"no directory tier {name!r}")
+        return tiers[name]
+
+    faults = dri.faults
+    faults.register_hooks(
+        "shard_down",
+        lambda tier, shard: _tier(tier).shard_down(shard),
+        lambda tier, shard: _tier(tier).shard_up(shard),
+    )
+    faults.register_hooks(
+        "metadata_feed_stale",
+        lambda feed: directory.ingestor.set_feed_down(feed, True),
+        lambda feed: directory.ingestor.set_feed_down(feed, False),
+    )
+    store = dri.durability
+    for tier in tiers.values():
+        for name in sorted(tier.shards):
+            shard = tier.shards[name]
+            if store is not None:
+                # each shard journals independently: a single shard
+                # crash replays only its own partition
+                shard.attach_journal(store.stream(f"dir-{name}"))
+            faults.register_crash_target(
+                f"dir-{name}", lambda shard=shard: shard,
+                lambda up, shard=shard: setattr(shard, "up", up))
+        if store is not None:
+            # shards added later (rebalancing) get their streams here
+            tier.journal_factory = lambda n: store.stream(f"dir-{n}")
+    dri.directory = directory
+    return directory

@@ -75,16 +75,17 @@ class PolicyEngine:
         self.evaluations = 0
         self.denials = 0
 
-    def add_rule(self, rule: PolicyRule) -> None:
-        self._rules.append(rule)
+    def add_rule(self, rule: PolicyRule, *, first: bool = False) -> None:
+        """Append ``rule``, or put it ahead of every rule with ``first``."""
+        self._rules.insert(0 if first else len(self._rules), rule)
 
     def allow(self, name: str, applies: Callable[[AccessContext], bool],
               *, reason: str = "") -> None:
         self.add_rule(PolicyRule(name, applies, "allow", reason))
 
     def deny(self, name: str, applies: Callable[[AccessContext], bool],
-             *, reason: str = "") -> None:
-        self.add_rule(PolicyRule(name, applies, "deny", reason))
+             *, reason: str = "", first: bool = False) -> None:
+        self.add_rule(PolicyRule(name, applies, "deny", reason), first=first)
 
     def rules(self) -> List[PolicyRule]:
         return list(self._rules)

@@ -328,3 +328,32 @@ class Durable:
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def install(dri) -> DurabilityStore:
+    """Journal the stateful control plane into one durability store.
+
+    Turned on by ``build_isambard(durability=True)`` (and implied by
+    ``failover`` and ``regions``): the broker, the last-resort IdP, the
+    SSH CA, the portal, the per-domain audit log stores and the SIEM
+    forwarders commit every mutation to write-ahead journals in a shared
+    :class:`DurabilityStore`; ``dri.crash(name)`` / ``dri.restart(name)``
+    then model pod kills with lossless recovery.  Signing keys stay in
+    the store's KMS-modelled vault, never in the journal.  Journals
+    attach *after* construction, so every build-time registration
+    (clients, upstreams, host certificates) lands in the baseline
+    snapshot.
+    """
+    store = DurabilityStore(dri.clock)
+    store.telemetry = dri.telemetry
+    for domain, log in dri.logs.items():
+        log.attach_journal(store.stream(f"audit-{domain}"))
+    for service in (dri.broker, dri.lastresort, dri.ssh_ca, dri.portal,
+                    *dri.forwarders):
+        service.attach_journal(store.stream(service.name))
+    # sshds consult the CA's journaled issuance registry: a serial a
+    # fenced ex-primary signed after deposition was never registered
+    for sshd in dri.login_nodes:
+        sshd.cert_registry = dri.cert_registered
+    dri.durability = store
+    return store

@@ -200,3 +200,101 @@ class FailoverController:
                 standby=pair.standby_name,
             )
         return report
+
+
+def install(dri) -> FailoverController:
+    """Park warm standbys for the broker and the SSH CA under a
+    health-checked :class:`FailoverController`.
+
+    Turned on by ``build_isambard(failover=True)``, which implies
+    durability: promotion replays the journal, acquires a fresh fencing
+    epoch (deposed primaries can no longer commit) and takes over the
+    primary's endpoint name.  The standbys carry the same *service*
+    names (they become those services on promotion) parked under their
+    own endpoint names, and mirror the primaries' wiring: a promoted
+    broker keeps publishing invalidations (or the caches would go
+    quietly stale after a failover) and keeps tracking grants and
+    failing closed when continuous authorization is on.  On promotion
+    ``dri.broker`` / ``dri.ssh_ca`` re-point at the standby, so every
+    closure that reads the handle follows it.
+    """
+    # lazy: the broker and the CA import this package
+    from repro.broker import IdentityBroker
+    from repro.net import OperatingDomain, Zone
+    from repro.region import DOWN
+    from repro.sshca import SshCertificateAuthority
+
+    clock, network, store = dri.clock, dri.network, dri.durability
+    broker, ca = dri.broker, dri.ssh_ca
+    # scale-out moved the broker's state backend to "broker-origin"
+    broker_ep = "broker-origin" if dri.scale is not None else "broker"
+    domain, zone = OperatingDomain.FDS, Zone.ACCESS
+
+    # adopt_journal keeps the standbys fenced (epoch 0) until promoted
+    broker_standby = IdentityBroker(
+        broker.name, clock, dri.ids, audit=dri.logs["fds"],
+        rbac_default_ttl=broker.tokens.default_ttl,
+        rbac_max_ttl=broker.tokens.max_ttl,
+    )
+    broker_standby.ssh_cert_ttl = broker.ssh_cert_ttl
+    for u in broker._upstreams.values():
+        broker_standby.add_upstream(
+            u.upstream_id, u.label, u.endpoint, u.rp.client, kind=u.kind)
+    broker_standby.adopt_journal(store.stream(broker.name))
+    broker_standby.tokens.bus = broker.tokens.bus
+    broker_standby.invalidation_bus = broker.invalidation_bus
+    broker_standby.tokens.session_registry = broker.tokens.session_registry
+    broker_standby.tokens.authz_guard = broker.tokens.authz_guard
+    network.attach(broker_standby, domain, zone, name="broker-standby")
+    ca_standby = SshCertificateAuthority(
+        ca.name, clock, dri.validator_for(ca.name), audit=dri.logs["fds"],
+        cert_ttl=ca.cert_ttl,
+    )
+    ca_standby.adopt_journal(store.stream(ca.name))
+    ca_standby.session_registry = ca.session_registry
+    network.attach(ca_standby, domain, zone, name="ssh-ca-standby")
+
+    controller = FailoverController(clock, network, audit=dri.logs["sec"])
+    controller.telemetry = dri.telemetry
+
+    def _promote_broker(standby) -> None:
+        dri.broker = standby
+        regions, pool = dri.region_directory, dri.broker_pool
+        if regions is not None:
+            # every region's worker fleet re-points at the promoted
+            # state backend, and regions downed by the backend crash
+            # come back serving — under *fresh* region epochs (the
+            # crash fenced the old generation), with caches cleared
+            # and revocation views resynced from the promoted store
+            for region in regions.regions():
+                region.pool.origin = standby
+                for replica in region.pool.replicas():
+                    region.pool.worker(replica).origin = standby
+                if region.state == DOWN:
+                    regions.region_up(region.name)
+        elif pool is not None:
+            # the LB keeps the public endpoint; the worker fleet just
+            # re-points at the promoted state backend (fencing still
+            # holds: the deposed origin can no longer commit).  The
+            # pods themselves never died — they went dark because the
+            # backend did — so they resume serving immediately
+            pool.origin = standby
+            for replica in pool.replicas():
+                pool.worker(replica).origin = standby
+                if network.has_endpoint(replica):
+                    network.endpoint(replica).up = True
+        else:
+            dri.edge.register_origin("broker", standby)
+
+    def _promote_ca(standby) -> None:
+        dri.ssh_ca = standby
+
+    controller.register(
+        broker_ep, broker, broker_standby, standby_name="broker-standby",
+        domain=domain, zone=zone, on_promote=_promote_broker)
+    controller.register(
+        ca.name, ca, ca_standby, standby_name="ssh-ca-standby",
+        domain=domain, zone=zone, on_promote=_promote_ca)
+    controller.start()
+    dri.failover = controller
+    return controller

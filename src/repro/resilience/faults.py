@@ -197,6 +197,36 @@ class FaultInjector:
         """
         self._hooks[(kind, target)] = (fire_fn, undo_fn)
 
+    def register_crash_target(self, name: str, get: Callable[[], object],
+                              set_up: Callable[[bool], None],
+                              fleet: Optional[Callable[[bool], None]] = None
+                              ) -> None:
+        """Register the ``crash`` hooks for one component.
+
+        Crash takes it down (``set_up(False)``), wipes ``get()``'s
+        in-memory state, then downs the ``fleet`` it fronts.  Restart
+        replays its journal when it has one, brings it back up, then the
+        fleet, and returns the RecoveryReport (None when unjournaled).
+        ``get`` is resolved per call, so a standby that took over the
+        component is the one crashed."""
+        def crash_fn() -> None:
+            set_up(False)
+            get().wipe_state()
+            if fleet is not None:
+                fleet(False)
+
+        def restart_fn():
+            target = get()
+            report = (target.recover()
+                      if getattr(target, "journal", None) is not None
+                      else None)
+            set_up(True)
+            if fleet is not None:
+                fleet(True)
+            return report
+
+        self.register_hooks("crash", crash_fn, restart_fn, target=name)
+
     def hooks(self, kind: str, target: Optional[str] = None
               ) -> Tuple[Callable, Optional[Callable]]:
         """The ``(fire_fn, undo_fn)`` registered for ``kind``/``target``."""

@@ -30,7 +30,11 @@ from repro.errors import (
     ServiceUnavailable,
 )
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.overload import AimdLimiter, OverloadConfig
+from repro.resilience.overload import (
+    AdmissionController,
+    AimdLimiter,
+    OverloadConfig,
+)
 from repro.resilience.tail import TailConfig, TailController, hedgeable_request
 
 __all__ = [
@@ -526,3 +530,51 @@ class ResilienceRuntime:
             out["hedge_budget_denied"] = tc.hedge_budget.denied
             out["retry_budget_exhausted"] = tc.budget.exhausted
         return out
+
+
+def install(dri, policy: Optional[RetryPolicy], rng) -> ResilienceRuntime:
+    """Put the retry/breaker runtime on every control-plane client.
+
+    Turned on by ``build_isambard(resilience=...)`` (a
+    :class:`RetryPolicy` overrides the default policy), and implied by
+    ``overload`` and ``tail``; without it the deployment keeps the
+    historical fail-fast behaviour.  ``rng`` is the runtime's own seeded
+    stream, so backoff jitter never perturbs the identity streams.
+
+    ``overload`` (``dri.overload``) adds the overload-protection layer:
+    token-bucket admission controllers with priority shedding on the
+    broker, Jupyter, the SSH CA and the edge, plus AIMD pacing on every
+    client kit.  It implies this runtime because clients must honour
+    ``retry_after`` for admission control to act as backpressure rather
+    than a hard failure.
+
+    ``tail`` (``dri.tail``) adds the tail-tolerance layer: adaptive
+    per-attempt deadlines sized from observed latency quantiles, hedged
+    requests for read-shaped traffic, latency-outlier ejection in every
+    balancer pool (and gray-region detours in the geo-router when
+    ``regions`` is also on), and a per-(client x destination) retry
+    budget that fails storms fast and feeds the SOC's ``retry-storm``
+    rule.  The tail defences live inside the retry layer, which is why
+    it implies this runtime.
+    """
+    runtime = ResilienceRuntime(dri.clock, rng, policy=policy,
+                                overload=dri.overload, tail=dri.tail)
+    if dri.telemetry is not None:
+        runtime.breaker_listener = dri.telemetry.on_breaker_transition
+    if runtime.tail_controller is not None:
+        # budget refusals audit into FDS (where the SOC's forwarders
+        # already collect) and count into telemetry
+        runtime.tail_controller.audit = dri.logs["fds"]
+        runtime.tail_controller.telemetry = dri.telemetry
+    shipper = dri.network.endpoint("log-shipper").service
+    for svc in (dri.broker, dri.portal, dri.zenith, dri.edge, dri.jupyter,
+                dri.zenith_client, shipper, dri.bastion, dri.tailnet,
+                dri.soc):
+        svc.resilience = runtime.for_client(svc.name)
+    cfg = dri.overload
+    if cfg is not None:
+        for svc, sizing in ((dri.broker, cfg.broker), (dri.jupyter, cfg.jupyter),
+                            (dri.ssh_ca, cfg.ssh_ca), (dri.edge, cfg.edge)):
+            svc.admission = AdmissionController(svc.name, dri.clock, sizing)
+    dri.resilience = runtime
+    return runtime

@@ -403,3 +403,61 @@ class Telemetry:
     def exposition(self) -> str:
         """The whole registry in Prometheus-style text."""
         return self.registry.expose()
+
+
+def install(dri) -> Telemetry:
+    """Hook the deployment's telemetry runtime up to the SOC.
+
+    ``build_isambard(telemetry=True)`` (the default) threads one
+    :class:`Telemetry` through every hop: distributed tracing, RED +
+    domain metrics, and burn-rate SLO monitors.  It is pure observation
+    — it never advances the clock or touches the seeded id/secret
+    streams — so disabling it changes no simulated number.  This bridges
+    it into the SOC: trace-integrity and decision-provenance rules, the
+    ledger behind ``/scoreboard`` and ``/explain``, and SLO pages.
+
+    ``pipeline`` makes it the bounded telemetry pipeline: the span store
+    becomes a :class:`~repro.telemetry.BoundedSpanStore` with tail-based
+    retention (error/shed/expired and pinned revocation traces kept at
+    100%, slowest-k per window, hash-sampled healthy traffic, RED
+    rollups of the rest), every pre-registered metric family gets a
+    cardinality budget that folds runaway label sets into
+    ``__overflow__``, and the provenance ledger (one
+    :class:`~repro.telemetry.DecisionRecord` per admission decision on
+    every enforcement surface, queryable via ``explain`` /
+    ``explain_trace``) compacts to its own budget without ever losing
+    the record behind a live grant or a refusal.  Pass a
+    :class:`~repro.telemetry.PipelineConfig` to size the budgets.
+    """
+    # lazy: repro.siem imports this package
+    from repro.siem import Alert, TraceIntegrityRule, UnexplainedDecisionRule
+
+    tele, soc = dri.telemetry, dri.soc
+    # an audit record whose trace id the span store never saw is a
+    # forged/replayed log entry — runs inside the standard rule pack
+    soc.rules.append(TraceIntegrityRule(tele.store))
+    # decision provenance: the SOC reads the ledger for the
+    # scoreboard/explain views and cross-checks every shipped decision
+    # against it (a decision without provenance is the ledger-side
+    # sibling of an unknown trace id)
+    soc.attach_provenance(tele.provenance, tele.store)
+    soc.rules.append(UnexplainedDecisionRule(tele.provenance))
+    # decisions recorded before the authz layer attaches its richer
+    # enricher still carry the policy pack version they ran under
+    tele.provenance.enricher = (
+        lambda subject: {"pack_version": dri.policy_engine.pack_version})
+    # availability SLOs over the hops the RSECon story stresses
+    tele.slo("broker-availability", service="broker")
+    tele.slo("jupyter-availability", service="jupyter")
+
+    def _page_soc(alert: BurnRateAlert) -> None:
+        # actor is deliberately empty: an SLO page is not attributable
+        # to a principal and must never trigger auto-containment
+        soc.raise_alert(Alert(
+            time=alert.time, rule=f"slo-burn-{alert.slo}",
+            severity="high", actor="", summary=alert.summary(),
+            evidence_count=alert.events_in_slow_window,
+        ))
+
+    tele.on_slo_alert(_page_soc)
+    return tele
