@@ -33,7 +33,7 @@ timestamps come from the caller, sequence numbers from a counter.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -126,16 +126,26 @@ class ProvenanceLedger:
         # score, pack version, PDP staleness...) applied to fields the
         # caller left unset.  Set by the deployment wiring.
         self.enricher: Optional[Callable[[str], Dict[str, object]]] = None
-        self._records: "OrderedDict[int, DecisionRecord]" = OrderedDict()
+        self._records: Dict[int, DecisionRecord] = {}  # seq order
         self._seq = 0
-        self._by_identity: Dict[str, List[int]] = {}
-        self._by_trace: Dict[str, List[int]] = {}
+        # identity / trace id -> its retained seqs (dicts as ordered
+        # sets, so an eviction removes one seq in O(1))
+        self._by_identity: Dict[str, Dict[int, None]] = {}
+        self._by_trace: Dict[str, Dict[int, None]] = {}
         # (identity key, surface) -> seq of the latest grant record
         self._latest_grant: Dict[Tuple[str, str], int] = {}
+        # grant seq -> how many (identity, surface) keys it is latest for;
+        # at zero the grant is superseded everywhere and becomes evictable
+        self._grant_refs: Dict[int, int] = {}
+        # min-heap of evictable seqs: compaction pops oldest first
+        self._evictable: List[int] = []
         self.recorded = 0
         self.counts: Dict[Tuple[str, str], int] = {}   # (surface, decision)
         self.evicted: Dict[Tuple[str, str], int] = {}  # rollup of drops
         self.compactions = 0
+        # deterministic work units: evictable marks plus evictions, so
+        # retention costs O(1) per record whatever the ledger holds
+        self.work_items = 0
 
     # ------------------------------------------------------------ record
     def record(self, time: float, surface: str, decision: str, subject: str,
@@ -158,12 +168,19 @@ class ProvenanceLedger:
         seq = self._seq
         self._seq += 1
         self._records[seq] = rec
-        for identity in {rec.subject, rec.spiffe_id} - {""}:
-            self._by_identity.setdefault(identity, []).append(seq)
+        identities = {rec.subject, rec.spiffe_id} - {""}
+        for identity in identities:
+            self._by_identity.setdefault(identity, {})[seq] = None
             if rec.is_grant():
+                old = self._latest_grant.get((identity, surface))
                 self._latest_grant[(identity, surface)] = seq
+                self._grant_refs[seq] = self._grant_refs.get(seq, 0) + 1
+                if old is not None:
+                    self._release(old)
+        if rec.is_grant() and not identities:
+            self._mark_evictable(seq)  # explains no identity's grant
         if rec.trace_id:
-            self._by_trace.setdefault(rec.trace_id, []).append(seq)
+            self._by_trace.setdefault(rec.trace_id, {})[seq] = None
         self.recorded += 1
         key = (surface, decision)
         self.counts[key] = self.counts.get(key, 0) + 1
@@ -217,40 +234,43 @@ class ProvenanceLedger:
         return len(self._records)
 
     # --------------------------------------------------------- retention
-    def _pinned(self) -> set:
-        pinned = set(self._latest_grant.values())
-        for seq, rec in self._records.items():
-            if rec.decision in Decision.PINNED:
-                pinned.add(seq)
-        return pinned
+    def _release(self, seq: int) -> None:
+        """A newer grant superseded ``seq`` for one key; once it is the
+        latest for none it no longer explains a live grant."""
+        refs = self._grant_refs[seq] - 1
+        if refs:
+            self._grant_refs[seq] = refs
+        else:
+            del self._grant_refs[seq]
+            self._mark_evictable(seq)
+
+    def _mark_evictable(self, seq: int) -> None:
+        heapq.heappush(self._evictable, seq)
+        self.work_items += 1
 
     def _compact(self) -> None:
         """Evict superseded plain grants, oldest first, down to 90% of
         budget (hysteresis so one record over the line does not trigger
-        a compaction per insert)."""
+        a compaction per insert).  Denials, sheds, fail-closed records
+        and the latest grant per identity+surface are never evictable;
+        when nothing else is left the ledger stays over budget."""
         target = max(1, int(self.max_records * 0.9))
-        pinned = self._pinned()
-        doomed: List[int] = []
-        for seq in self._records:              # OrderedDict: oldest first
-            if len(self._records) - len(doomed) <= target:
-                break
-            if seq in pinned:
-                continue
-            doomed.append(seq)
-        if not doomed:
+        if not self._evictable:
             return                             # everything left is pinned
-        for seq in doomed:
+        while self._evictable and len(self._records) > target:
+            seq = heapq.heappop(self._evictable)
             rec = self._records.pop(seq)
             key = (rec.surface, rec.decision)
             self.evicted[key] = self.evicted.get(key, 0) + 1
-        dead = set(doomed)
-        for index in (self._by_identity, self._by_trace):
-            for key in list(index):
-                kept = [s for s in index[key] if s not in dead]
-                if kept:
-                    index[key] = kept
-                else:
-                    del index[key]
+            for index, name in ((self._by_identity, rec.subject),
+                                (self._by_identity, rec.spiffe_id),
+                                (self._by_trace, rec.trace_id)):
+                seqs = index.get(name)
+                if seqs is not None and seq in seqs:
+                    del seqs[seq]
+                    if not seqs:
+                        del index[name]
+            self.work_items += 1
         self.compactions += 1
 
     # ------------------------------------------------------------- stats
@@ -265,6 +285,7 @@ class ProvenanceLedger:
             "evicted": sum(self.evicted.values()),
             "over_budget": max(0, len(self._records) - self.max_records),
             "compactions": self.compactions,
+            "work_items": self.work_items,
             "decisions": by_surface,
             "fail_closed": sum(
                 n for (_, d), n in self.counts.items()
