@@ -18,9 +18,15 @@ the crash/recovery ablation (ABL8):
 import pytest
 
 from repro.core import build_isambard
-from repro.errors import ConfigurationError, EpochFenced, ServiceUnavailable
+from repro.broker import Role
+from repro.errors import (
+    ConfigurationError,
+    EpochFenced,
+    ServiceUnavailable,
+    TokenRevoked,
+)
 from repro.net.http import HttpRequest
-from repro.sshca.certificate import SshKeyPair, issue_certificate
+from repro.sshca.certificate import SshKeyPair, issue_certificate, parse_certificate
 from repro.tunnels.zenith import TOKEN_HEADER
 
 pytestmark = pytest.mark.durability
@@ -338,5 +344,64 @@ def test_restart_of_promoted_pair_rejoins_as_fenced_standby():
     # caught up on the journal, but still not a legitimate writer
     with pytest.raises(EpochFenced):
         old_broker.tokens.mint("zombie", "jupyter", "pi")
+
+
+def test_handle_follows_broker_promotion():
+    """Every closure the builder and the layers wire reads ``dri.broker``,
+    so after a promotion validators, the kill switch and log shipping
+    all act on the promoted broker, never the deposed one."""
+    dri = build_isambard(seed=92, failover=True)
+    assert dri.workflows.story1_pi_onboarding("pi").ok
+    old_broker = dri.broker
+    dri.crash("broker")
+    dri.clock.advance(dri.failover.budget + 0.5)
+    assert dri.failover.pairs["broker"].promoted
+    assert dri.broker is not old_broker
+
+    # a token revoked on the promoted broker is refused, both by a fresh
+    # validator and by the one the portal was built with
+    token, issued = dri.broker.tokens.mint("res9", "portal", Role.RESEARCHER)
+    fresh = dri.validator_for("portal")
+    assert fresh.validate(token)["sub"] == "res9"
+    dri.broker.tokens.revoke_jti(issued.jti)
+    for validator in (fresh, dri.portal.validator):
+        with pytest.raises(TokenRevoked):
+            validator.validate(token)
+
+    # the kill switch's broker lever revokes on the promoted broker
+    token, _ = dri.broker.tokens.mint("res8", "portal", Role.RESEARCHER)
+    dri.killswitch.contain_user("res8")
+    with pytest.raises(TokenRevoked):
+        dri.validator_for("portal").validate(token)
+
+    # log shipping mints its service token on the promoted broker: a
+    # flush after the promotion still reaches the SOC
+    assert dri.workflows.relogin(dri.workflows.personas["pi"]).ok
+    before = dri.soc.records_ingested
+    dri.ship_logs()
+    assert dri.soc.records_ingested > before
+    assert all(fw.buffered() == 0 for fw in dri.forwarders)
+
+
+def test_handle_follows_ca_promotion_through_the_sshd_registry():
+    """Both login nodes check certificates against ``dri.ssh_ca``: a
+    revocation on the promoted CA bites on every cluster."""
+    dri = build_isambard(seed=93, failover=True)
+    wf = dri.workflows
+    s1 = wf.story1_pi_onboarding("pi", project_name="ca-ha")
+    assert s1.ok
+    assert wf.story3_researcher_setup(str(s1.data["project_id"]), "pi", "res1").ok
+    dri.crash("ssh-ca")
+    dri.clock.advance(dri.failover.budget + 0.5)
+    assert dri.failover.pairs["ssh-ca"].promoted
+
+    client = wf.personas["res1"].ssh_client
+    assert client.request_certificate().ok
+    cert = parse_certificate(client.certificate, dri.ssh_ca.ca_key.public())
+    for sshd in dri.login_nodes:
+        assert sshd.cert_registry(cert.serial, cert.key_id)
+    assert dri.ssh_ca.revoke_certificates_for(cert.key_id) >= 1
+    for sshd in dri.login_nodes:
+        assert not sshd.cert_registry(cert.serial, cert.key_id)
     # and the active broker keeps serving through all of it
     assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
