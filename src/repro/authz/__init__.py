@@ -23,6 +23,7 @@ from repro.authz.config import SURFACES, AuthzConfig
 from repro.authz.identity import IdentityGraph
 from repro.authz.pipeline import RevocationIntent, RevocationPipeline
 from repro.authz.registry import Grant, SessionRegistry
+from repro.policy.engine import PolicyRule
 
 __all__ = [
     "SURFACES",
@@ -75,13 +76,12 @@ def install(dri, config: AuthzConfig) -> AuthzRuntime:
     # would never fire: a live session whose identity's LoA stepped
     # below the floor is denied on re-evaluation and handed to the
     # revocation pipeline
-    engine.deny(
+    engine.add_rule(PolicyRule(
         "assurance-below-floor",
         lambda c, floor=config.min_loa: (
             bool(c.attrs.get("continuous")) and c.loa < floor),
-        reason="identity assurance below the continuous-session floor",
-        first=True,
-    )
+        "deny", "identity assurance below the continuous-session floor",
+    ), first=True)
     graph = IdentityGraph(config.trust_domain, authority=dri.spire)
     if dri.directory is not None:
         # interactive registrations mint canonical SPIFFE principals;

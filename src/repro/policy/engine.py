@@ -84,8 +84,8 @@ class PolicyEngine:
         self.add_rule(PolicyRule(name, applies, "allow", reason))
 
     def deny(self, name: str, applies: Callable[[AccessContext], bool],
-             *, reason: str = "", first: bool = False) -> None:
-        self.add_rule(PolicyRule(name, applies, "deny", reason), first=first)
+             *, reason: str = "") -> None:
+        self.add_rule(PolicyRule(name, applies, "deny", reason))
 
     def rules(self) -> List[PolicyRule]:
         return list(self._rules)
