@@ -89,7 +89,8 @@ def install(dri, config: AuthzConfig) -> AuthzRuntime:
         dri.directory.accounts.graph = graph
     registry = SessionRegistry(clock, graph=graph)
     pdp = PolicyDecisionPoint(
-        clock, engine, provenance=tele.provenance if tele is not None else None)
+        clock, engine,
+        provenance=tele.provenance if tele is not None else None)
     guard = AuthzGuard(clock, pdp, staleness_bound=config.staleness_bound,
                        audit=dri.logs["fds"], telemetry=tele)
     pipeline = RevocationPipeline(

@@ -573,7 +573,8 @@ def install(dri, policy: Optional[RetryPolicy], rng) -> ResilienceRuntime:
         svc.resilience = runtime.for_client(svc.name)
     cfg = dri.overload
     if cfg is not None:
-        for svc, sizing in ((dri.broker, cfg.broker), (dri.jupyter, cfg.jupyter),
+        for svc, sizing in ((dri.broker, cfg.broker),
+                            (dri.jupyter, cfg.jupyter),
                             (dri.ssh_ca, cfg.ssh_ca), (dri.edge, cfg.edge)):
             svc.admission = AdmissionController(svc.name, dri.clock, sizing)
     dri.resilience = runtime
