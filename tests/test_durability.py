@@ -344,6 +344,8 @@ def test_restart_of_promoted_pair_rejoins_as_fenced_standby():
     # caught up on the journal, but still not a legitimate writer
     with pytest.raises(EpochFenced):
         old_broker.tokens.mint("zombie", "jupyter", "pi")
+    # and the active broker keeps serving through all of it
+    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
 
 
 def test_handle_follows_broker_promotion():
@@ -403,5 +405,6 @@ def test_handle_follows_ca_promotion_through_the_sshd_registry():
     assert dri.ssh_ca.revoke_certificates_for(cert.key_id) >= 1
     for sshd in dri.login_nodes:
         assert not sshd.cert_registry(cert.serial, cert.key_id)
-    # and the active broker keeps serving through all of it
-    assert wf.mint(wf.personas["pi"], "jupyter", "pi").ok
+    # and the promoted CA keeps issuing certificates the sshds admit
+    assert client.request_certificate().ok
+    assert wf.story4_ssh_session("res1").ok
