@@ -221,10 +221,8 @@ class IsambardDeployment:
 
     def validator_for(self, audience: str) -> RbacTokenValidator:
         """Resource-side RBAC validator against the active broker's keys."""
-        return RbacTokenValidator(
-            self.clock, self.broker.issuer, audience, self.broker.jwks,
-            self._revoked, cache=self.caches.get("token-decisions"),
-        )
+        return _rbac_validator(self.clock, self.broker, audience,
+                               self._revoked, self.caches)
 
     def _revoked(self, jti: str) -> bool:
         tokens = self.broker.tokens
@@ -333,6 +331,13 @@ def _open_fig1_flows(firewall: Firewall) -> None:
                    dst_domain=C, dst_zone=Zone.SECURITY, port=443)
     # nothing else: no internet->MDC, no FDS->MDC, no anything->SEC besides
     # logs, no MDC->SEC (MDC logs route via SWS), no SEC-> anywhere.
+
+
+def _rbac_validator(clock, broker, audience, revoked, caches):
+    """An RBAC validator for ``audience`` against ``broker``'s issuer and
+    keys, sharing the token-decision cache when scale-out built one."""
+    return RbacTokenValidator(clock, broker.issuer, audience, broker.jwks,
+                              revoked, cache=caches.get("token-decisions"))
 
 
 def _config(switch, cls):
@@ -583,11 +588,8 @@ def build_isambard(
     def validator_for(audience: str) -> RbacTokenValidator:
         # the revocation check reads the handle (built below), so these
         # validators consult whichever broker failover made active
-        return RbacTokenValidator(
-            clock, broker.issuer, audience, broker.jwks,
-            lambda jti: dri._revoked(jti),
-            cache=caches.get("token-decisions"),
-        )
+        return _rbac_validator(clock, broker, audience,
+                               lambda jti: dri._revoked(jti), caches)
 
     def _revoke_everywhere(uid: str, project: str, account: str) -> None:
         # the portal's off-boarding fan-out (authz swaps in its pipeline)
@@ -662,10 +664,8 @@ def build_isambard(
     # the authenticator runs in the MDC: it cannot share the broker's
     # in-memory revocation set, so its *local* validation is JWKS-only
     # and revocation is caught by the introspection round-trip (§IV.A.6)
-    jupyter_validator = RbacTokenValidator(
-        clock, broker.issuer, "jupyter", broker.jwks, lambda jti: False,
-        cache=caches.get("token-decisions"),
-    )
+    jupyter_validator = _rbac_validator(
+        clock, broker, "jupyter", lambda jti: False, caches)
     jupyter = JupyterService(
         "jupyter", clock, ids, jupyter_validator, pool,
         audit=logs["mdc"], broker_endpoint="broker",
@@ -805,22 +805,17 @@ def build_isambard(
         spire, "spiffe://isambard.example/sws/log-shipper"
     )
 
-    # kill-switch levers: one principal, severed everywhere (each
-    # cluster's sessions, then its notebooks, then its jobs)
+    # kill-switch levers: one principal, severed everywhere
     killswitch.register_user_action("bastion-flag", bastion.flag_principal)
     killswitch.register_user_action(
         "broker-revoke", lambda p: dri.broker.revoke_user_access(p, None)
     )
-    for suffix, sshd, notebooks, sched in (
-            ("", login_sshd, jupyter, slurm),
-            ("-i3", login_sshd_i3, None, slurm_i3)):
-        killswitch.register_user_action(
-            f"ssh-sessions{suffix}", sshd.close_sessions_for)
-        if notebooks is not None:
-            killswitch.register_user_action(
-                "jupyter-sessions", notebooks.close_sessions_for)
-        killswitch.register_user_action(
-            f"slurm-jobs{suffix}", sched.cancel_account)
+    killswitch.register_user_action("ssh-sessions", login_sshd.close_sessions_for)
+    killswitch.register_user_action("jupyter-sessions", jupyter.close_sessions_for)
+    killswitch.register_user_action("slurm-jobs", slurm.cancel_account)
+    killswitch.register_user_action(
+        "ssh-sessions-i3", login_sshd_i3.close_sessions_for)
+    killswitch.register_user_action("slurm-jobs-i3", slurm_i3.cancel_account)
     killswitch.register_stop_action(
         "bastion", bastion.kill_service, bastion.restore_service
     )
