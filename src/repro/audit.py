@@ -298,6 +298,12 @@ class AuditLog(Durable):
             "events": [self._event_dict(e) for e in self._events],
         }
 
+    def append_only(self) -> Tuple[str, Dict[str, object]]:
+        """The trail only grows, one journaled ``audit.emit`` per event:
+        snapshots seal the new events and keep the chain head beside
+        them, never re-serializing the whole trail."""
+        return "events", {"head": self._head}
+
     def wipe_state(self) -> None:
         """Crash: the stored trail is gone.  Live subscribers (the SIEM
         forwarders) are separate infrastructure and stay subscribed."""

@@ -11,7 +11,11 @@ This module gives the simulation the same guarantees, deterministically:
   JSON round-trip so only plain, replayable data enters the journal.
 * Snapshots — :meth:`ServiceJournal.snapshot` captures the full durable
   state and truncates the entries it makes redundant; recovery is
-  "load snapshot, replay the tail".
+  "load snapshot, replay the tail".  Append-only state (the audit hash
+  chain) is instead snapshotted by :meth:`ServiceJournal.seal_segment`:
+  the entries since the last snapshot become one more immutable segment
+  beside a small head, so a snapshot costs the entries it truncates,
+  not the whole history.
 * Fencing epochs — the journal tracks the epoch of its single legitimate
   writer.  :meth:`ServiceJournal.acquire_epoch` bumps it (promotion,
   restart); an append presenting a stale epoch raises
@@ -40,6 +44,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -63,8 +68,8 @@ RESTART_COST = 0.005
 REPLAY_COST_PER_ENTRY = 0.0002
 
 
-def _jsonable(data):
-    """Force ``data`` through a JSON round-trip.
+def _dumps(data) -> str:
+    """Serialize ``data`` for the journal.
 
     This is the journal's admission filter: only plain, deterministic,
     replayable values get in.  Live objects (keys, sockets, services)
@@ -72,11 +77,23 @@ def _jsonable(data):
     exist on a recovering node.
     """
     try:
-        return json.loads(json.dumps(data, sort_keys=True))
+        return json.dumps(data, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"journal payload is not JSON-serializable: {exc}"
         ) from exc
+
+
+def _jsonable(data):
+    """Force ``data`` through a JSON round-trip (see :func:`_dumps`)."""
+    return json.loads(_dumps(data))
+
+
+def _items(state: Dict[str, object]) -> int:
+    """Records in a snapshot: one per element of each top-level list or
+    dict, one per top-level scalar."""
+    return sum(len(v) if isinstance(v, (list, dict)) else 1
+               for v in state.values())
 
 
 @dataclass(frozen=True)
@@ -91,19 +108,31 @@ class JournalEntry:
 
 
 class ServiceJournal:
-    """A single service's write-ahead stream inside a :class:`DurabilityStore`."""
+    """A single service's write-ahead stream inside a :class:`DurabilityStore`.
+
+    ``snapshot_items`` and ``snapshot_bytes`` total the records and the
+    serialized bytes every snapshot so far captured: a deterministic
+    measure of snapshot work that, unlike wall time, a test can bound.
+    """
 
     def __init__(self, store: "DurabilityStore", name: str) -> None:
         self.store = store
         self.name = name
         self._entries: List[JournalEntry] = []
+        self._entry_bytes = 0  # serialized size of the pending entries
         self._snapshot: Optional[Dict[str, object]] = None
+        # append-only state: the list under this key of the snapshot is
+        # held as sealed segments of journaled entries' data
+        self._sealed_key: Optional[str] = None
+        self._segments: List[Tuple[Dict[str, object], ...]] = []
         self._snapshot_seq = 0
         self._seq = 0
         self._epoch = 0
         self._vault: Dict[str, object] = {}
         self.appends = 0
         self.snapshots = 0
+        self.snapshot_items = 0
+        self.snapshot_bytes = 0
         self.fenced_appends = 0
 
     # ------------------------------------------------------------- epochs
@@ -129,27 +158,72 @@ class ServiceJournal:
                 f"journal {self.name!r}: writer epoch {epoch} is fenced "
                 f"(current epoch is {self._epoch})"
             )
+        text = _dumps(data)
+        # sealed segments keep entries' data for the life of the journal:
+        # share the field names, which every decode would allocate anew
+        data = {sys.intern(k): v for k, v in json.loads(text).items()}
         self._seq += 1
         entry = JournalEntry(
             seq=self._seq, time=self.store.clock.now(),
-            epoch=self._epoch, kind=kind, data=_jsonable(data),
+            epoch=self._epoch, kind=kind, data=data,
         )
         self._entries.append(entry)
+        self._entry_bytes += len(text)
         self.appends += 1
         return entry
 
-    def snapshot(self, state: Dict[str, object]) -> None:
-        """Capture the full durable state; truncate the entries it covers."""
-        self._snapshot = _jsonable(state)
+    def snapshot(self, state: Dict[str, object], *,
+                 sealed_key: Optional[str] = None) -> None:
+        """Capture the full durable state; truncate the entries it covers.
+
+        ``sealed_key`` names an append-only list in ``state`` (see
+        :meth:`Durable.append_only`): it becomes the first segment that
+        later :meth:`seal_segment` calls extend.
+        """
+        text = _dumps(state)
+        snap = json.loads(text)
+        items = _items(snap)
+        self._sealed_key = sealed_key
+        self._segments = [tuple(snap.pop(sealed_key))] if sealed_key else []
+        self._commit(snap, items, len(text))
+
+    def seal_segment(self, key: str, head: Dict[str, object]) -> None:
+        """Snapshot append-only state: seal the pending entries' data as
+        one more segment of the list under ``key``, next to the previous
+        segments and the new ``head`` (the rest of the state).
+
+        The entries' data was made JSON-safe when it was appended, so the
+        segment shares those dicts rather than copying them, and the cost
+        is the entries truncated, not the whole list.
+        """
+        if key != self._sealed_key:
+            raise ConfigurationError(
+                f"journal {self.name!r}: no sealed baseline for {key!r}")
+        text = _dumps(head)
+        snap = json.loads(text)
+        self._segments.append(tuple(e.data for e in self._entries))
+        self._commit(snap, len(self._entries) + _items(snap),
+                     self._entry_bytes + len(text))
+
+    def _commit(self, snap: Dict[str, object], items: int, nbytes: int) -> None:
+        self._snapshot = snap
         self._snapshot_seq = self._seq
-        self._entries = [e for e in self._entries if e.seq > self._snapshot_seq]
+        self._entries = []
+        self._entry_bytes = 0
         self.snapshots += 1
+        self.snapshot_items += items
+        self.snapshot_bytes += nbytes
 
     # -------------------------------------------------------------- reads
     def load(self) -> Tuple[Optional[Dict[str, object]], List[JournalEntry]]:
-        """(snapshot-or-None, entries newer than the snapshot), copied."""
-        snap = copy.deepcopy(self._snapshot) if self._snapshot is not None else None
-        return snap, list(self._entries)
+        """(snapshot-or-None, entries newer than the snapshot), copied.
+        A sealed list comes back whole, in its canonical place."""
+        if self._snapshot is None:
+            return None, list(self._entries)
+        snap = dict(self._snapshot)
+        if self._sealed_key is not None:
+            snap[self._sealed_key] = [d for seg in self._segments for d in seg]
+        return copy.deepcopy(snap), list(self._entries)
 
     @property
     def snapshot_seq(self) -> int:
@@ -191,6 +265,8 @@ class DurabilityStore:
             name: {
                 "appends": j.appends,
                 "snapshots": j.snapshots,
+                "snapshot_items": j.snapshot_items,
+                "snapshot_bytes": j.snapshot_bytes,
                 "pending": j.pending_entries(),
                 "fenced": j.fenced_appends,
                 "epoch": j.epoch,
@@ -244,6 +320,15 @@ class Durable:
         NOT destroyed — it lives in the KMS-modelled vault."""
         raise NotImplementedError
 
+    def append_only(self) -> Optional[Tuple[str, Dict[str, object]]]:
+        """``(key, head)`` when the durable state is append-only: the list
+        under ``key`` in ``durable_state()`` grows by exactly one element
+        per journal entry, equal to that entry's data, and ``head`` is
+        the rest of the state.  Snapshots then seal the entries since the
+        last one instead of serializing the list again.  ``None`` (the
+        default): every snapshot captures ``durable_state()`` in full."""
+        return None
+
     def seal_keys(self, journal: ServiceJournal) -> None:
         """Stash key objects into the vault at attach time (optional)."""
 
@@ -260,7 +345,9 @@ class Durable:
         self.journal = journal
         self.fencing_epoch = journal.acquire_epoch()
         self.seal_keys(journal)
-        journal.snapshot(self.durable_state())
+        sealed = self.append_only()
+        journal.snapshot(self.durable_state(),
+                         sealed_key=sealed[0] if sealed else None)
 
     def adopt_journal(self, journal: ServiceJournal) -> None:
         """Follow a journal *without* becoming its writer (a standby).
@@ -276,7 +363,11 @@ class Durable:
             return
         self.journal.append(kind, data, epoch=self.fencing_epoch)
         if self.journal.pending_entries() >= self.snapshot_every:
-            self.journal.snapshot(self.durable_state())
+            sealed = self.append_only()
+            if sealed is None:
+                self.journal.snapshot(self.durable_state())
+            else:
+                self.journal.seal_segment(*sealed)
 
     # ------------------------------------------------------------ recover
     def recover(self, *, acquire_epoch: bool = True) -> RecoveryReport:

@@ -240,6 +240,8 @@ def install(dri) -> FailoverController:
     for u in broker._upstreams.values():
         broker_standby.add_upstream(
             u.upstream_id, u.label, u.endpoint, u.rp.client, kind=u.kind)
+        # scale-out's shared single-flight JWKS cache (None without it)
+        broker_standby._upstreams[u.upstream_id].rp.jwks_cache = u.rp.jwks_cache
     broker_standby.adopt_journal(store.stream(broker.name))
     broker_standby.tokens.bus = broker.tokens.bus
     broker_standby.invalidation_bus = broker.invalidation_bus

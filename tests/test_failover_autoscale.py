@@ -116,6 +116,28 @@ def test_replica_added_after_promotion_inherits_promoted_origin():
     assert dri.broker_pool.worker(newborn).served > 0
 
 
+def test_promoted_broker_keeps_the_shared_jwks_cache():
+    """The promoted standby's upstream RPs refresh JWKS through the same
+    single-flight cache as the primary's, not around it."""
+    dri = build_isambard(seed=705, scale=True, failover=True)
+    wf = dri.workflows
+    assert wf.story1_pi_onboarding("pi").ok
+    shared = dri.caches["jwks"]
+    old_broker = dri.broker
+    assert all(u.rp.jwks_cache is shared
+               for u in old_broker._upstreams.values())
+
+    dri.crash("broker")
+    dri.clock.advance(dri.failover.budget + 0.5)
+    assert dri.failover.pairs["broker-origin"].promoted
+    assert dri.broker is not old_broker
+    assert dri.broker._upstreams.keys() == old_broker._upstreams.keys()
+    assert all(u.rp.jwks_cache is shared
+               for u in dri.broker._upstreams.values())
+    # and a fresh sign-in through the promoted broker still works
+    assert wf.relogin(wf.personas["pi"]).ok
+
+
 def test_restart_rejoins_ex_primary_as_standby_in_scale_mode():
     """The supervised pair is keyed "broker-origin"; restart("broker")
     must still find it and park the recovered ex-primary as standby."""
